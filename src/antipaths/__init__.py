@@ -59,7 +59,6 @@ from .rotation import (
     improve,
     rotate_end,
     rotate_start,
-    rotation_closure,
     step_move,
 )
 from .witnesses import (

@@ -70,8 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME:PARAMS",
         help="generator override, e.g. cycle-blowup:ell=3,b=2 | random:p=0.5 | random-min-pd:d=3",
     )
-    p.add_argument("--closure-cap", type=int, default=None, dest="closure_cap",
-                   help="max distinct paths per rotation closure (truncation is recorded)")
     _add_output_flags(p)
 
     p = sub.add_parser("search", help="exact and heuristic search on an edge-list file")
@@ -99,7 +97,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         output_path=args.out,
         dot_path=getattr(args, "dot_path", None),
         jobs=args.jobs,
-        closure_cap=getattr(args, "closure_cap", None),
     )
 
 

@@ -15,6 +15,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -25,7 +26,7 @@ from typing import Callable, Iterable
 from . import constructions as cons
 from . import oracle
 from .graphs import OrientedGraph, graph_hash, read_edge_list, to_dot
-from .rotation import DEFAULT_CLOSURE_CAP, audit_maximality, build_state, improve
+from .rotation import audit_maximality, build_state, improve
 from .witnesses import validate_antipath, witness_arcs
 
 EXHAUSTIVE_VERTEX_CAP = 5
@@ -35,10 +36,11 @@ class ConfigError(ValueError):
     """Bad or incomplete run parameters; maps to exit code 2."""
 
 
-_CONSTRUCTION_PARAMS = {
-    "cycle-blowup": {"ell", "b"},
-    "random": {"p"},
-    "random-min-pd": {"d"},
+# each construction's parameters, with the type its value must parse as
+_CONSTRUCTION_PARAMS: dict[str, dict[str, type]] = {
+    "cycle-blowup": {"ell": int, "b": int},
+    "random": {"p": float},
+    "random-min-pd": {"d": int},
 }
 
 
@@ -49,17 +51,23 @@ def parse_construction(text: str) -> tuple[str, dict]:
         raise ConfigError(
             f"unknown construction {name!r}; known: {sorted(_CONSTRUCTION_PARAMS)}"
         )
+    types = _CONSTRUCTION_PARAMS[name]
     params: dict = {}
     if rest:
         for item in rest.split(","):
             key, sep, val = item.partition("=")
             if not sep:
                 raise ConfigError(f"construction parameter {item!r} is not key=value")
+            if key not in types:
+                raise ConfigError(
+                    f"construction {name!r} has no parameter {key!r}; known: {sorted(types)}"
+                )
             try:
-                params[key] = float(val) if "." in val else int(val)
+                params[key] = types[key](val)
             except ValueError:
-                raise ConfigError(f"construction parameter {item!r} is not numeric") from None
-    missing = _CONSTRUCTION_PARAMS[name] - params.keys()
+                kind = "an integer" if types[key] is int else "a number"
+                raise ConfigError(f"construction parameter {item!r} is not {kind}") from None
+    missing = types.keys() - params.keys()
     if missing:
         raise ConfigError(f"construction {name!r} missing parameters {sorted(missing)}")
     return name, params
@@ -67,11 +75,11 @@ def parse_construction(text: str) -> tuple[str, dict]:
 
 def build_construction(name: str, params: dict, n: int, seed: int) -> OrientedGraph:
     if name == "cycle-blowup":
-        return cons.cycle_blowup(int(params["ell"]), int(params["b"]))
+        return cons.cycle_blowup(params["ell"], params["b"])
     if name == "random":
-        return cons.random_oriented_graph(n, float(params["p"]), seed)
+        return cons.random_oriented_graph(n, params["p"], seed)
     if name == "random-min-pd":
-        return cons.random_with_min_pd(n, int(params["d"]), seed)
+        return cons.random_with_min_pd(n, params["d"], seed)
     raise ConfigError(f"unknown construction {name!r}")
 
 
@@ -90,15 +98,8 @@ class ExperimentConfig:
     output_path: str | None = None
     dot_path: str | None = None
     jobs: int = 1
-    closure_cap: int | None = None
 
     def validate(self) -> None:
-        if self.closure_cap is None:
-            # the audit never consumes the achievable-endpoint sets, so its
-            # states default to a small closure budget; truncation is recorded
-            self.closure_cap = 4096 if self.mode == "audit" else DEFAULT_CLOSURE_CAP
-        if self.closure_cap < 1:
-            raise ConfigError(f"closure cap must be >= 1, got {self.closure_cap}")
         if self.mode not in ("verify-theorem", "tightness", "exhaustive-lemmas", "audit", "search"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.output_format not in ("json", "csv"):
@@ -126,7 +127,11 @@ class ExperimentConfig:
             if self.construction is not None:
                 if self.mode == "verify-theorem":
                     raise ConfigError("verify-theorem always samples at the degree floor")
-                parse_construction(self.construction)
+                name, params = parse_construction(self.construction)
+                try:  # out-of-range values surface here, not mid-run
+                    build_construction(name, params, self.n, derive_seed(self.seed, 0))
+                except ValueError as exc:
+                    raise ConfigError(f"construction {self.construction!r}: {exc}") from None
         elif self.mode == "tightness":
             if self.k is None or self.k < 4 or self.k % 2 != 0:
                 raise ConfigError(f"tightness needs even k >= 4, got {self.k}")
@@ -315,11 +320,8 @@ def _audit_trial(params: dict, trial: int) -> dict:
     if longest is not None:
         m = longest.length
         if m % 2 == 1:
-            st = build_state(g, longest, closure_cap=params["closure_cap"])
-            report = audit_maximality(st, k)
+            report = audit_maximality(build_state(g, longest), k)
             audit_dict = report.to_json_dict()
-            audit_dict["closure_size"] = st.closure_size
-            audit_dict["closure_truncated"] = st.closure_truncated
             if report.extension_openings:
                 # an opening on an exact-search longest path is impossible
                 ok = False
@@ -355,7 +357,7 @@ def _search_record(cfg: ExperimentConfig) -> dict:
     if longest is not None:
         arcs = g.arcs()
         seed_path = validate_antipath(g, arcs[0])
-        heuristic = improve(g, seed_path, closure_cap=cfg.closure_cap)
+        heuristic = improve(g, seed_path)
     if cfg.dot_path:
         highlight = witness_arcs(g, longest) if longest else []
         with open(cfg.dot_path, "w", encoding="utf-8") as fh:
@@ -384,11 +386,16 @@ def _search_record(cfg: ExperimentConfig) -> dict:
 def _map_trials(
     worker: Callable[[dict, int], dict], params: dict, count: int, jobs: int
 ) -> list[dict]:
-    """Run trials 0..count-1, merged back in trial order."""
-    if jobs <= 1 or count <= 1:
+    """Run trials 0..count-1, merged back in trial order.
+
+    The pool starts every worker up front, so it gets no more workers than
+    there are CPUs or trials, whatever jobs asks for.
+    """
+    workers = min(jobs, os.cpu_count() or 1, count)
+    if workers <= 1:
         return [worker(params, t) for t in range(count)]
-    chunk = max(1, count // (jobs * 8))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    chunk = max(1, count // (workers * 8))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(partial(worker, params), range(count), chunksize=chunk))
 
 
@@ -425,7 +432,6 @@ def run_audit(cfg: ExperimentConfig) -> list[dict]:
         "seed": cfg.seed,
         "floor": cons.integer_threshold(cfg.k),
         "construction": parse_construction(cfg.construction) if cfg.construction else None,
-        "closure_cap": cfg.closure_cap,
         "echo": cfg.echo(),
     }
     return _map_trials(_audit_trial, params, cfg.samples, cfg.jobs)

@@ -6,9 +6,10 @@ alternate, a partial path forces which adjacency direction can extend it,
 which halves the branching factor compared to generic longest-path search.
 
 These searches are the reference the heuristic engine is checked against, so
-they favor obvious correctness over cleverness: the only pruning is the
-count-based bound (current length plus vertices remaining cannot beat the
-best already found) and early exit for fixed-length queries.
+they favor obvious correctness over cleverness. The path searches do not
+prune: the longest-path search only stops once it holds a Hamiltonian path,
+and the fixed-length queries stop at the first witness. The cycle search
+alone bounds by the vertices still available.
 
 Determinism contract: starts are tried in increasing vertex order and
 candidates in increasing bit order, so the returned witness is the
@@ -44,7 +45,7 @@ def longest_antipath(g: OrientedGraph) -> AntipathWitness | None:
 
     def extend(u: int, depth: int, visited: int, forward_next: bool) -> None:
         nonlocal best_len, best_seq
-        if (depth - 1) + (n - depth) <= best_len:
+        if best_len >= n - 1:  # Hamiltonian: nothing can be longer
             return
         cand = (out_m[u] if forward_next else in_m[u]) & ~visited
         while cand:

@@ -24,11 +24,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 from .graphs import OrientedGraph
 from .witnesses import AntipathWitness, validate_antipath
 
-DEFAULT_CLOSURE_CAP = 1_000_000
+# most sequences one rotation BFS visits (the start included)
+ROTATION_CAP = 1_000_000
 
 
 class EvenLengthPathError(ValueError):
@@ -58,33 +60,32 @@ class MoveOutcome:
 
 @dataclass(frozen=True)
 class RotationState:
-    """A normalized path plus every derived set the moves and audit consume.
+    """A validated path in forward normal form, with its position sides.
 
-    head_candidates are the in-neighbors of the second vertex lying outside
-    the path's tail (positions 2..m); each of them can replace the first
-    vertex. seconds / penultimates are the vertices achievable in those two
-    positions across the whole rotation closure of the path.
+    even_positions / odd_positions are the emitting and absorbing vertex
+    sets; every rotation keeps them. head_candidates are the in-neighbors of
+    the second vertex lying outside the path's tail (positions 2..m); each of
+    them can replace the first vertex. Nothing here depends on the rotation
+    closure: the moves that need it walk it on demand.
     """
 
     host: OrientedGraph
     path: AntipathWitness
     even_positions: frozenset[int]
     odd_positions: frozenset[int]
-    seconds: frozenset[int]
-    penultimates: frozenset[int]
     head_candidates: frozenset[int]
-    closure_size: int
-    closure_truncated: bool
 
     @property
     def length(self) -> int:
         return self.path.length
 
 
-def build_state(
-    g: OrientedGraph, path: AntipathWitness, closure_cap: int = DEFAULT_CLOSURE_CAP
-) -> RotationState:
-    """Validate, normalize to a forward first arc, and derive all sets.
+def _head_candidates(g: OrientedGraph, seq: tuple[int, ...]) -> list[int]:
+    return sorted(g.in_neighbors(seq[1]) - set(seq[2:]))
+
+
+def build_state(g: OrientedGraph, path: AntipathWitness) -> RotationState:
+    """Validate, normalize to a forward first arc, and derive the sets.
 
     The witness is revalidated against the host (directions are never taken
     on trust) and reversed if its first arc points backward; for odd lengths
@@ -96,22 +97,12 @@ def build_state(
     if not wit.start_forward:
         wit = wit.reversed_()
     seq = wit.vertices
-    evens = frozenset(seq[0::2])
-    odds = frozenset(seq[1::2])
-    head = frozenset(g.in_neighbors(seq[1]) - set(seq[2:]))
-    seconds, penultimates, size, truncated = _closure(g, seq, closure_cap)
-    assert seconds <= odds and penultimates <= evens
-    assert seq[1] in seconds and seq[-2] in penultimates and seq[0] in head
     return RotationState(
         host=g,
         path=wit,
-        even_positions=evens,
-        odd_positions=odds,
-        seconds=frozenset(seconds),
-        penultimates=frozenset(penultimates),
-        head_candidates=head,
-        closure_size=size,
-        closure_truncated=truncated,
+        even_positions=frozenset(seq[0::2]),
+        odd_positions=frozenset(seq[1::2]),
+        head_candidates=frozenset(_head_candidates(g, seq)),
     )
 
 
@@ -163,55 +154,42 @@ def rotate_end(st: RotationState, i: int) -> MoveOutcome:
     )
 
 
-def _rotation_successors(g: OrientedGraph, seq: tuple[int, ...]) -> list[tuple[int, ...]]:
-    m = len(seq) - 1
-    first, last = seq[0], seq[m]
-    succ = []
-    for i in range(1, (m - 1) // 2 + 1):
-        if g.has_arc(first, seq[2 * i + 1]):
-            succ.append(_rotate_start_seq(seq, i))
-    for i in range((m - 1) // 2):
-        if g.has_arc(seq[2 * i], last):
-            succ.append(_rotate_end_seq(seq, i))
-    return succ
+def _rotations(g: OrientedGraph, seq: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """seq, then each new sequence the two rotations reach, breadth first.
 
-
-def _closure(
-    g: OrientedGraph, seq: tuple[int, ...], cap: int
-) -> tuple[set[int], set[int], int, bool]:
-    """Breadth-first closure of the two rotations, deduplicated by sequence.
-
-    Returns (achievable seconds, achievable penultimates, number of distinct
-    paths reached, truncation flag). The closure is finite but can in
-    principle be large; when the cap is hit the partial answer is returned
-    with truncated=True rather than silently wrong.
+    Sequences are deduplicated, and the walk stops after ROTATION_CAP of
+    them. It is lazy: a caller that stops early never builds the rest.
     """
-    seen: set[tuple[int, ...]] = {seq}
-    queue: deque[tuple[int, ...]] = deque([seq])
-    truncated = False
-    while queue and not truncated:
+    yield seq
+    seen = {seq}
+    queue = deque([seq])
+    while queue:
         cur = queue.popleft()
-        for nxt in _rotation_successors(g, cur):
+        m = len(cur) - 1
+        first, last = cur[0], cur[m]
+        succ = [
+            _rotate_start_seq(cur, i)
+            for i in range(1, (m - 1) // 2 + 1)
+            if g.has_arc(first, cur[2 * i + 1])
+        ] + [
+            _rotate_end_seq(cur, i)
+            for i in range((m - 1) // 2)
+            if g.has_arc(cur[2 * i], last)
+        ]
+        for nxt in succ:
             if nxt in seen:
                 continue
-            if len(seen) >= cap:
-                truncated = True
-                break
+            if len(seen) >= ROTATION_CAP:
+                return
             seen.add(nxt)
             queue.append(nxt)
-    seconds = {s[1] for s in seen}
-    penultimates = {s[-2] for s in seen}
-    return seconds, penultimates, len(seen), truncated
-
-
-def rotation_closure(st: RotationState) -> tuple[frozenset[int], frozenset[int]]:
-    """The (seconds, penultimates) pair computed when the state was built."""
-    return st.seconds, st.penultimates
+            yield nxt
 
 
 def endpoint_chord_exists(st: RotationState) -> bool:
-    """Is there an arc from the first vertex into the achievable penultimates,
-    or from the achievable seconds into the last vertex?
+    """Is there an arc from the first vertex to the penultimate vertex of
+    some rotation of the path, or from the second vertex of some rotation to
+    the last vertex? The rotations are walked only until one is found.
 
     On a longest path this must hold whenever the positive-degree floor
     strictly exceeds half the target length; at exact equality there are
@@ -221,8 +199,8 @@ def endpoint_chord_exists(st: RotationState) -> bool:
     g = st.host
     first = st.path.vertices[0]
     last = st.path.vertices[-1]
-    return any(g.has_arc(first, p) for p in st.penultimates) or any(
-        g.has_arc(s, last) for s in st.seconds
+    return any(
+        g.has_arc(first, s[-2]) or g.has_arc(s[1], last) for s in _rotations(g, st.path.vertices)
     )
 
 
@@ -263,7 +241,34 @@ def endpoint_swaps(st: RotationState) -> list[MoveOutcome]:
 # two-vertex insertions (length + 1)
 
 
-def _check_insertion_args(st: RotationState, v: int, w: int, i: int) -> None:
+def _insertions(
+    g: OrientedGraph, seq: tuple[int, ...], head: list[int]
+) -> Iterator[tuple[int, int, int]]:
+    """(v, w, i) with arcs (v, seq[2i]) and (w, seq[2i+1]): the two arcs both
+    insertions share. Ordered by i, then v, then w, as head is."""
+    m = len(seq) - 1
+    for i in range(1, (m - 1) // 2 + 1):
+        pivot, after = seq[2 * i], seq[2 * i + 1]
+        for v in head:
+            if not g.has_arc(v, pivot):
+                continue
+            for w in head:
+                if w != v and g.has_arc(w, after):
+                    yield v, w, i
+
+
+def _pivot_chord_seq(seq: tuple[int, ...], v: int, w: int, i: int) -> tuple[int, ...]:
+    # seq[2i-1] ... seq[1]  v  seq[2i]  w  seq[2i+1] ... seq[m]
+    return tuple(reversed(seq[1 : 2 * i])) + (v, seq[2 * i], w) + seq[2 * i + 1 :]
+
+
+def _odd_chords_seq(seq: tuple[int, ...], v: int, w: int, i: int) -> tuple[int, ...]:
+    # seq[2i]  v  seq[1] ... seq[2i-1]  w  seq[2i+1] ... seq[m]
+    return (seq[2 * i], v) + seq[1 : 2 * i] + (w,) + seq[2 * i + 1 :]
+
+
+def _check_insertion(st: RotationState, v: int, w: int, i: int, chord_end: int) -> None:
+    """Argument guards, then the two shared arcs and the chord (w, seq[chord_end])."""
     m = st.path.length
     if not 1 <= i <= (m - 1) // 2:
         raise ValueError(f"need 0 < i < m/2, got i={i} for m={m}")
@@ -271,6 +276,10 @@ def _check_insertion_args(st: RotationState, v: int, w: int, i: int) -> None:
         raise ValueError("need two distinct head candidates")
     if v not in st.head_candidates or w not in st.head_candidates:
         raise ValueError(f"{v} and {w} must both be head candidates")
+    seq = st.path.vertices
+    for a, b in ((v, seq[2 * i]), (w, seq[2 * i + 1]), (w, seq[chord_end])):
+        if not st.host.has_arc(a, b):
+            raise MissingArcError(a, b)
 
 
 def extend_via_pivot_chord(st: RotationState, v: int, w: int, i: int) -> MoveOutcome:
@@ -281,12 +290,8 @@ def extend_via_pivot_chord(st: RotationState, v: int, w: int, i: int) -> MoveOut
 
         seq[2i-1] ... seq[1]  v  seq[2i]  w  seq[2i+1] ... seq[m]
     """
-    _check_insertion_args(st, v, w, i)
-    seq = st.path.vertices
-    for a, b in ((v, seq[2 * i]), (w, seq[2 * i + 1]), (w, seq[2 * i])):
-        if not st.host.has_arc(a, b):
-            raise MissingArcError(a, b)
-    new = tuple(reversed(seq[1 : 2 * i])) + (v, seq[2 * i], w) + seq[2 * i + 1 :]
+    _check_insertion(st, v, w, i, 2 * i)
+    new = _pivot_chord_seq(st.path.vertices, v, w, i)
     return MoveOutcome(MoveKind.EXTENSION, validate_antipath(st.host, new))
 
 
@@ -298,12 +303,8 @@ def extend_via_odd_chords(st: RotationState, v: int, w: int, i: int) -> MoveOutc
 
         seq[2i]  v  seq[1] ... seq[2i-1]  w  seq[2i+1] ... seq[m]
     """
-    _check_insertion_args(st, v, w, i)
-    seq = st.path.vertices
-    for a, b in ((v, seq[2 * i]), (w, seq[2 * i + 1]), (w, seq[2 * i - 1])):
-        if not st.host.has_arc(a, b):
-            raise MissingArcError(a, b)
-    new = (seq[2 * i], v) + seq[1 : 2 * i] + (w,) + seq[2 * i + 1 :]
+    _check_insertion(st, v, w, i, 2 * i - 1)
+    new = _odd_chords_seq(st.path.vertices, v, w, i)
     return MoveOutcome(MoveKind.EXTENSION, validate_antipath(st.host, new))
 
 
@@ -330,46 +331,31 @@ def _endpoint_extension(g: OrientedGraph, wit: AntipathWitness) -> AntipathWitne
     return validate_antipath(g, min(candidates))
 
 
-def _insertion_pairs(g: OrientedGraph, seq: tuple[int, ...], head: list[int]):
-    """(v, w, i) triples satisfying the two shared insertion arcs, in order."""
-    m = len(seq) - 1
-    for i in range(1, (m - 1) // 2 + 1):
-        pivot, after = seq[2 * i], seq[2 * i + 1]
-        for v in head:
-            if not g.has_arc(v, pivot):
-                continue
-            for w in head:
-                if w != v and g.has_arc(w, after):
-                    yield v, w, i
-
-
 def _forward_seq_moves(g: OrientedGraph, seq: tuple[int, ...]) -> MoveOutcome | None:
     """Swap-then-extend and both insertions, on one forward-first sequence."""
     for swapped in _swap_successors(g, seq):
         ext = _endpoint_extension(g, AntipathWitness(swapped, True))
         if ext is not None:
             return MoveOutcome(MoveKind.EXTENSION, ext)
-    head = sorted(g.in_neighbors(seq[1]) - set(seq[2:]))
-    for v, w, i in _insertion_pairs(g, seq, head):
+    head = _head_candidates(g, seq)
+    for v, w, i in _insertions(g, seq, head):
         if g.has_arc(w, seq[2 * i]):
-            new = tuple(reversed(seq[1 : 2 * i])) + (v, seq[2 * i], w) + seq[2 * i + 1 :]
+            new = _pivot_chord_seq(seq, v, w, i)
             return MoveOutcome(MoveKind.EXTENSION, validate_antipath(g, new))
-    for v, w, i in _insertion_pairs(g, seq, head):
+    for v, w, i in _insertions(g, seq, head):
         if g.has_arc(w, seq[2 * i - 1]):
-            new = (seq[2 * i], v) + seq[1 : 2 * i] + (w,) + seq[2 * i + 1 :]
+            new = _odd_chords_seq(seq, v, w, i)
             return MoveOutcome(MoveKind.EXTENSION, validate_antipath(g, new))
     return None
 
 
-def _lengthening_move(
-    g: OrientedGraph, wit: AntipathWitness, cap: int
-) -> MoveOutcome | None:
+def _lengthening_move(g: OrientedGraph, wit: AntipathWitness) -> MoveOutcome | None:
     """One lengthening step, cheapest move first.
 
-    Order: direct endpoint extension; endpoint swaps each followed by an
-    extension attempt; pivot-chord insertion; odd-chords insertion; finally
-    the same-length rotation closure, retrying the cheaper moves on every
-    newly reached path. Returns None when the path cannot be lengthened by
+    Order: direct endpoint extension; then, on the path and on each path its
+    rotations reach (breadth first), an endpoint extension, endpoint swaps
+    each followed by an extension attempt, the pivot-chord insertion and the
+    odd-chords insertion. Returns None when the path cannot be lengthened by
     any of these moves.
     """
     ext = _endpoint_extension(g, wit)
@@ -378,33 +364,18 @@ def _lengthening_move(
     if wit.length % 2 == 0:
         return None
     seq = wit.vertices if wit.start_forward else tuple(reversed(wit.vertices))
-    res = _forward_seq_moves(g, seq)
-    if res is not None:
-        return res
-    seen = {seq}
-    queue = deque([seq])
-    while queue:
-        cur = queue.popleft()
-        for nxt in _rotation_successors(g, cur):
-            if nxt in seen:
-                continue
-            if len(seen) >= cap:
-                return None
-            seen.add(nxt)
-            queue.append(nxt)
-            rotated = AntipathWitness(nxt, True)
-            ext = _endpoint_extension(g, rotated)
-            if ext is not None:
-                return MoveOutcome(MoveKind.EXTENSION, ext)
-            res = _forward_seq_moves(g, nxt)
-            if res is not None:
-                return res
+    for cur in _rotations(g, seq):
+        # on seq itself this finds nothing: wit is the same path
+        ext = _endpoint_extension(g, AntipathWitness(cur, True))
+        if ext is not None:
+            return MoveOutcome(MoveKind.EXTENSION, ext)
+        res = _forward_seq_moves(g, cur)
+        if res is not None:
+            return res
     return None
 
 
-def improve(
-    g: OrientedGraph, path: AntipathWitness, closure_cap: int = DEFAULT_CLOSURE_CAP
-) -> AntipathWitness:
+def improve(g: OrientedGraph, path: AntipathWitness) -> AntipathWitness:
     """Apply lengthening moves until none fires; never shortens.
 
     This is a heuristic, not a decision procedure: the exact search remains
@@ -413,17 +384,15 @@ def improve(
     """
     current = validate_antipath(g, path.vertices)
     while True:
-        step = _lengthening_move(g, current, closure_cap)
+        step = _lengthening_move(g, current)
         if step is None:
             return current
         current = step.result
 
 
-def step_move(
-    g: OrientedGraph, path: AntipathWitness, closure_cap: int = DEFAULT_CLOSURE_CAP
-) -> MoveOutcome:
+def step_move(g: OrientedGraph, path: AntipathWitness) -> MoveOutcome:
     """Single improvement step; NO_MOVE with the input path when stuck."""
-    step = _lengthening_move(g, validate_antipath(g, path.vertices), closure_cap)
+    step = _lengthening_move(g, validate_antipath(g, path.vertices))
     if step is None:
         return MoveOutcome(MoveKind.NO_MOVE, path)
     return step
@@ -526,20 +495,13 @@ def audit_maximality(st: RotationState, k: int) -> AuditReport:
     hsize = len(head)
 
     openings: list[ExtensionOpening] = []
-    for i in range(1, (m - 1) // 2 + 1):
-        pivot, after, before = seq[2 * i], seq[2 * i + 1], seq[2 * i - 1]
-        for v in head:
-            if not g.has_arc(v, pivot):
-                continue
-            for w in head:
-                if w == v or not g.has_arc(w, after):
-                    continue
-                if g.has_arc(w, before):
-                    longer = extend_via_odd_chords(st, v, w, i).result
-                    openings.append(ExtensionOpening(v, w, i, "before-pivot", longer))
-                if g.has_arc(w, pivot):
-                    longer = extend_via_pivot_chord(st, v, w, i).result
-                    openings.append(ExtensionOpening(v, w, i, "onto-pivot", longer))
+    for v, w, i in _insertions(g, seq, head):
+        if g.has_arc(w, seq[2 * i - 1]):
+            longer = validate_antipath(g, _odd_chords_seq(seq, v, w, i))
+            openings.append(ExtensionOpening(v, w, i, "before-pivot", longer))
+        if g.has_arc(w, seq[2 * i]):
+            longer = validate_antipath(g, _pivot_chord_seq(seq, v, w, i))
+            openings.append(ExtensionOpening(v, w, i, "onto-pivot", longer))
 
     overloads: list[dict] = []
     for i in range((m - 3) // 4 + 1):

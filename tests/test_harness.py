@@ -51,6 +51,11 @@ def run_cli(*args, check=False):
         dict(mode="exhaustive-lemmas", n=4, k_min=5, k_max=4),
         dict(mode="audit", k=4, construction="nonsense"),
         dict(mode="audit", k=4, construction="random:p"),
+        dict(mode="audit", k=4, construction="random-min-pd:d=9"),
+        dict(mode="audit", k=4, construction="random:p=2.0"),
+        dict(mode="audit", k=4, construction="cycle-blowup:ell=2,b=2"),
+        dict(mode="audit", k=4, construction="random:p=0.5,q=3"),
+        dict(mode="audit", k=4, construction="cycle-blowup:ell=3,b=2.5"),
         dict(mode="search"),
         dict(mode="nonsense"),
         dict(mode="audit", k=4, output_format="xml"),
@@ -71,6 +76,8 @@ def test_config_defaults():
 def test_parse_construction():
     assert parse_construction("cycle-blowup:ell=3,b=2") == ("cycle-blowup", {"ell": 3, "b": 2})
     assert parse_construction("random:p=0.25") == ("random", {"p": 0.25})
+    assert parse_construction("random:p=1e-1") == ("random", {"p": 0.1})
+    assert parse_construction("random:p=1") == ("random", {"p": 1.0})
     with pytest.raises(ConfigError):
         parse_construction("cycle-blowup:ell=3")  # missing b
 
@@ -175,6 +182,43 @@ def test_parallel_runs_match_serial():
     assert records_to_json_lines(e1) == records_to_json_lines(e2)
 
 
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs serially."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        RecordingPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, count, expected",
+    [
+        (10000, 4, 100, 4),  # capped by the CPU count
+        (10000, 4, 3, 3),  # capped by the trial count
+        (3, 4, 100, 3),
+        (10000, None, 100, None),  # unknown CPU count: serial, no pool
+        (8, 4, 1, None),
+    ],
+)
+def test_pool_size_is_capped(monkeypatch, jobs, cpus, count, expected):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    out = harness._map_trials(lambda params, t: (params, t), "p", count, jobs)
+    assert out == [("p", t) for t in range(count)]
+    assert RecordingPool.sizes == ([] if expected is None else [expected])
+
+
 def test_csv_json_parity():
     records = records_for(mode="verify-theorem", k=4, samples=4, seed=9)
     csv_text = records_to_csv(records)
@@ -216,6 +260,19 @@ def test_cli_subprocess_streams_json():
     proc = run_cli("tightness", "--k", "4", check=True)
     record = json.loads(proc.stdout.splitlines()[0])
     assert record["pd"] == 2 and record["longest_len"] == 3
+
+
+@pytest.mark.parametrize(
+    "construction",
+    ["random-min-pd:d=9", "random:p=2.0", "cycle-blowup:ell=2,b=2", "random:p=0.5,q=3",
+     "cycle-blowup:ell=3,b=2.5"],
+)
+def test_cli_construction_errors_exit_2(construction):
+    proc = run_cli("audit", "--k", "4", "--samples", "2", "--construction", construction)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_cli_search_roundtrip(tmp_path):

@@ -2,11 +2,13 @@ import random
 
 import pytest
 
+import antipaths.rotation as rotation
 from antipaths import (
     EvenLengthPathError,
     MissingArcError,
     MoveKind,
     OrientedGraph,
+    all_longest_antipaths,
     audit_maximality,
     build_state,
     contains_antipath_of_length,
@@ -21,7 +23,6 @@ from antipaths import (
     random_oriented_graph,
     rotate_end,
     rotate_start,
-    rotation_closure,
     step_move,
     validate_antipath,
 )
@@ -35,6 +36,32 @@ def chord_host():
 
 def state_on(g, seq):
     return build_state(g, validate_antipath(g, seq))
+
+
+def rotations_of(st):
+    return list(rotation._rotations(st.host, st.path.vertices))
+
+
+def public_closure(st):
+    """Every sequence rotate_start / rotate_end reach from st's path."""
+    seen = {st.path.vertices}
+    stack = [st]
+    while stack:
+        cur = stack.pop()
+        m = cur.length
+        moves = [(rotate_start, i) for i in range(1, (m - 1) // 2 + 1)]
+        moves += [(rotate_end, i) for i in range((m - 3) // 2 + 1)]
+        for move, i in moves:
+            try:
+                out = move(cur, i).result
+            except MissingArcError:
+                continue
+            if out.vertices not in seen:
+                seen.add(out.vertices)
+                nxt = build_state(cur.host, out)
+                assert nxt.path == out  # rotations stay in forward normal form
+                stack.append(nxt)
+    return seen
 
 
 def path_arcs_for(seq):
@@ -90,8 +117,9 @@ def test_build_state_on_blowup_longest():
     g = cycle_blowup(3, 2)
     st = build_state(g, longest_antipath(g))
     assert st.length == 3
-    assert st.seconds == {2, 3} and st.penultimates == {0, 1}
-    assert st.closure_size == 4 and not st.closure_truncated
+    reached = rotations_of(st)
+    assert {s[1] for s in reached} == {2, 3} and {s[-2] for s in reached} == {0, 1}
+    assert len(reached) == 4
 
 
 def test_build_state_rejects_even_length():
@@ -158,22 +186,72 @@ def test_rotate_index_ranges():
 def test_closure_with_no_chords_is_trivial():
     g = OrientedGraph.from_arcs(4, [(0, 1), (2, 1), (2, 3)])
     st = state_on(g, [0, 1, 2, 3])
-    assert rotation_closure(st) == ({1}, {2})
-    assert st.closure_size == 1
+    assert rotations_of(st) == [(0, 1, 2, 3)]
 
 
 def test_closure_on_chord_host():
     st = state_on(chord_host(), [0, 1, 2, 3])
-    seconds, penultimates = rotation_closure(st)
-    assert seconds == {1, 3} and penultimates == {0, 2}
-    assert st.closure_size == 4
+    reached = rotations_of(st)
+    assert {s[1] for s in reached} == {1, 3} and {s[-2] for s in reached} == {0, 2}
+    assert len(reached) == 4
 
 
-def test_closure_cap_truncates_and_reports():
-    g = chord_host()
-    st = build_state(g, validate_antipath(g, [0, 1, 2, 3]), closure_cap=2)
-    assert st.closure_truncated
-    assert st.closure_size == 2
+def test_closure_cap_truncates_and_reports(monkeypatch):
+    st = state_on(chord_host(), [0, 1, 2, 3])
+    monkeypatch.setattr(rotation, "ROTATION_CAP", 2)
+    reached = rotations_of(st)
+    assert len(reached) == 2
+    assert reached[0] == st.path.vertices
+    assert set(reached) < public_closure(st)
+
+
+def odd_longest_states():
+    """States on the odd longest traversals of every labeled graph on n <= 4
+    vertices, then on the longest path of a seeded random sample."""
+    for n in range(2, 5):
+        for g in enumerate_oriented_graphs(n):
+            m, traversals = all_longest_antipaths(g)
+            if m % 2 == 1:
+                for t in traversals:
+                    yield build_state(g, validate_antipath(g, t))
+    rng = random.Random(5)
+    for _ in range(150):
+        g = random_oriented_graph(rng.randrange(5, 9), rng.uniform(0.3, 0.8), rng.randrange(10**6))
+        w = longest_antipath(g)
+        if w is not None and w.length % 2 == 1:
+            yield build_state(g, w)
+
+
+def chord_in(st, seqs):
+    g = st.host
+    first, last = st.path.vertices[0], st.path.vertices[-1]
+    return any(g.has_arc(first, s[-2]) or g.has_arc(s[1], last) for s in seqs)
+
+
+def test_rotations_match_public_closure():
+    checked = 0
+    for st in odd_longest_states():
+        reached = rotations_of(st)
+        assert reached[0] == st.path.vertices
+        assert len(set(reached)) == len(reached)
+        assert set(reached) == public_closure(st)
+        for s in reached:
+            assert set(s[0::2]) == st.even_positions
+            assert set(s[1::2]) == st.odd_positions
+        assert endpoint_chord_exists(st) == chord_in(st, reached)
+        checked += 1
+    assert checked > 1000
+
+
+def test_endpoint_chord_under_truncation(monkeypatch):
+    states = list(odd_longest_states())
+    full = [endpoint_chord_exists(st) for st in states]
+    monkeypatch.setattr(rotation, "ROTATION_CAP", 1)
+    capped = [endpoint_chord_exists(st) for st in states]
+    for st, answer in zip(states, capped):
+        assert rotations_of(st) == [st.path.vertices]
+        assert answer == chord_in(st, [st.path.vertices])
+    assert full != capped  # some answers need a rotation to show the chord
 
 
 def test_endpoint_chord_cases():

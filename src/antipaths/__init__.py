@@ -24,7 +24,6 @@ from .graphs import (
     SelfLoopError,
     format_edge_list,
     graph_hash,
-    new_graph,
     parse_edge_list,
     read_edge_list,
     relabel,

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Five subcommands, one per campaign mode. Exit codes: 0 all records ok,
-1 at least one verification failure, 2 config or input-parse error.
+1 at least one verification failure, 2 config or input error (including an
+unreadable input file and a generator that cannot reach the degree floor).
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .constructions import AttemptsExhaustedError
 from .graphs import EdgeListParseError
 from .harness import ConfigError, ExperimentConfig, execute
 from .oracle import CapExceededError
@@ -105,7 +107,14 @@ def main(argv: list[str] | None = None) -> int:
     cfg = config_from_args(args)
     try:
         return execute(cfg)
-    except (ConfigError, CapExceededError, EdgeListParseError, FileNotFoundError) as exc:
+    except (
+        ConfigError,
+        CapExceededError,
+        EdgeListParseError,
+        AttemptsExhaustedError,
+        OSError,
+        UnicodeDecodeError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,9 +1,11 @@
 """Loop-free oriented graphs with two-directional adjacency and degree statistics.
 
 An oriented graph carries at most one arc per unordered vertex pair: no loops,
-no 2-cycles. Vertices are dense integers 0..n-1 so that search code can use
-bitmask pruning. Both the out- and in-neighborhood of every vertex are kept as
-sets, making membership O(1) and enumeration O(degree) in either direction.
+no 2-cycles. Vertices are dense integers 0..n-1, and the out- and
+in-neighborhood of every vertex are each stored as one bitmask int (bit w set
+means w is a neighbor). Those masks are the only adjacency representation:
+membership is a shift, degrees are bit counts, and the exact search in
+`oracle` walks the stored masks directly.
 
 Graphs are built by arc insertion and treated as immutable afterwards; every
 search routine in this package only reads them.
@@ -69,8 +71,8 @@ class OrientedGraph:
         if n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")
         self.n = n
-        self._out: list[set[int]] = [set() for _ in range(n)]
-        self._in: list[set[int]] = [set() for _ in range(n)]
+        self._out: list[int] = [0] * n
+        self._in: list[int] = [0] * n
         self._arc_count = 0
 
     @classmethod
@@ -89,54 +91,53 @@ class OrientedGraph:
             raise ValueError(f"arc ({u}, {v}) out of range for n={self.n}")
         if u == v:
             raise SelfLoopError(f"self-loop at vertex {u}")
-        if v in self._out[u]:
+        if self._out[u] >> v & 1:
             raise DuplicateArcError(f"arc ({u}, {v}) already present")
-        if u in self._out[v]:
+        if self._out[v] >> u & 1:
             raise AntiparallelArcError(f"arc ({v}, {u}) present; ({u}, {v}) would form a 2-cycle")
-        self._out[u].add(v)
-        self._in[v].add(u)
+        self._out[u] |= 1 << v
+        self._in[v] |= 1 << u
         self._arc_count += 1
 
     def has_arc(self, u: int, v: int) -> bool:
-        return 0 <= u < self.n and v in self._out[u]
+        # total on any ints: a negative v would be a negative shift count
+        return 0 <= u < self.n and v >= 0 and self._out[u] >> v & 1 == 1
 
     def out_neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(self._out[v])
+        return frozenset(_bits(self._out[v]))
 
     def in_neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(self._in[v])
+        return frozenset(_bits(self._in[v]))
 
     def out_degree(self, v: int) -> int:
-        return len(self._out[v])
+        return self._out[v].bit_count()
 
     def in_degree(self, v: int) -> int:
-        return len(self._in[v])
+        return self._in[v].bit_count()
 
     def arcs(self) -> list[tuple[int, int]]:
         """All arcs, sorted, so iteration order is deterministic."""
-        return sorted((u, v) for u in range(self.n) for v in self._out[u])
+        return [(u, v) for u in range(self.n) for v in _bits(self._out[u])]
 
     def copy(self) -> "OrientedGraph":
         g = OrientedGraph(self.n)
-        for u in range(self.n):
-            g._out[u] = set(self._out[u])
-            g._in[u] = set(self._in[u])
+        g._out = self._out.copy()
+        g._in = self._in.copy()
         g._arc_count = self._arc_count
         return g
 
     def reverse(self) -> "OrientedGraph":
         """The graph with every arc flipped. An involution."""
         g = OrientedGraph(self.n)
-        for u in range(self.n):
-            g._out[u] = set(self._in[u])
-            g._in[u] = set(self._out[u])
+        g._out = self._in.copy()
+        g._in = self._out.copy()
         g._arc_count = self._arc_count
         return g
 
     def degree_profile(self) -> DegreeProfile:
-        """Always recomputed from the adjacency sets, never patched."""
-        ins = tuple(len(self._in[v]) for v in range(self.n))
-        outs = tuple(len(self._out[v]) for v in range(self.n))
+        """Always recomputed from the adjacency masks, never patched."""
+        ins = tuple(m.bit_count() for m in self._in)
+        outs = tuple(m.bit_count() for m in self._out)
         if self.n == 0:
             return DegreeProfile((), (), 0, 0)
         delta = min(min(i, o) for i, o in zip(ins, outs))
@@ -145,14 +146,11 @@ class OrientedGraph:
         return DegreeProfile(ins, outs, delta, pd)
 
     def adjacency_masks(self) -> tuple[list[int], list[int]]:
-        """(out_masks, in_masks) as bitmask ints, rebuilt on each call."""
-        out_m = [0] * self.n
-        in_m = [0] * self.n
-        for u in range(self.n):
-            for v in self._out[u]:
-                out_m[u] |= 1 << v
-                in_m[v] |= 1 << u
-        return out_m, in_m
+        """(out_masks, in_masks): the stored bitmask lists themselves.
+
+        No copy is made, so callers must only read them.
+        """
+        return self._out, self._in
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OrientedGraph):
@@ -163,9 +161,12 @@ class OrientedGraph:
         return f"OrientedGraph(n={self.n}, arcs={self._arc_count})"
 
 
-def new_graph(n: int) -> OrientedGraph:
-    """An arcless graph on n vertices."""
-    return OrientedGraph(n)
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def relabel(g: OrientedGraph, perm: Sequence[int]) -> OrientedGraph:

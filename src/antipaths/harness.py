@@ -29,8 +29,6 @@ from .graphs import OrientedGraph, graph_hash, read_edge_list, to_dot
 from .rotation import audit_maximality, build_state, improve
 from .witnesses import validate_antipath, witness_arcs
 
-EXHAUSTIVE_VERTEX_CAP = 5
-
 
 class ConfigError(ValueError):
     """Bad or incomplete run parameters; maps to exit code 2."""
@@ -138,9 +136,9 @@ class ExperimentConfig:
         elif self.mode == "exhaustive-lemmas":
             if self.n is None or self.n < 0:
                 raise ConfigError(f"exhaustive-lemmas needs n >= 0, got {self.n}")
-            if self.n > EXHAUSTIVE_VERTEX_CAP:
+            if self.n > oracle.ENUMERATION_CAP:
                 raise ConfigError(
-                    f"n={self.n} exceeds the exhaustive cap {EXHAUSTIVE_VERTEX_CAP}"
+                    f"n={self.n} exceeds the exhaustive cap {oracle.ENUMERATION_CAP}"
                 )
             if not 1 <= self.k_min <= self.k_max:
                 raise ConfigError(f"need 1 <= k_min <= k_max, got {self.k_min}..{self.k_max}")
@@ -498,9 +496,10 @@ def serialize_records(records: list[dict], output_format: str) -> str:
 def execute(cfg: ExperimentConfig, stderr=None) -> int:
     """Run, write the stream, print a summary; exit-code semantics.
 
-    Returns 0 when every record is ok, 1 otherwise. Config and parse
-    problems raise (ConfigError, EdgeListParseError) for the CLI to map to
-    exit code 2.
+    Returns 0 when every record is ok, 1 otherwise. Config, input and
+    generator problems raise (ConfigError, EdgeListParseError, OSError,
+    UnicodeDecodeError, AttemptsExhaustedError) for the CLI to map to exit
+    code 2.
     """
     stderr = stderr if stderr is not None else sys.stderr
     started = time.monotonic()

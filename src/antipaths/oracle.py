@@ -1,15 +1,17 @@
 """Exact ground-truth search for alternating paths and cycles.
 
 Everything here is exhaustive backtracking over partial alternating
-sequences, with adjacency held as bitmask ints. Because directions must
+sequences, reading the graph's stored out/in bitmasks. Because directions must
 alternate, a partial path forces which adjacency direction can extend it,
 which halves the branching factor compared to generic longest-path search.
 
 These searches are the reference the heuristic engine is checked against, so
-they favor obvious correctness over cleverness. The path searches do not
-prune: the longest-path search only stops once it holds a Hamiltonian path,
-and the fixed-length queries stop at the first witness. The cycle search
-alone bounds by the vertices still available.
+they favor obvious correctness over cleverness. Every path query is answered
+by one walker, `_antipaths`, which does not prune: it searches up to a length
+cap and stops at the first path that reaches the cap, unless it is asked for
+every tie. The longest-path query caps at n - 1, so its only early stop is a
+Hamiltonian path; the fixed-length queries cap at k. The cycle search has its
+own walker, which alone bounds by the vertices still available.
 
 Determinism contract: starts are tried in increasing vertex order and
 candidates in increasing bit order, so the returned witness is the
@@ -28,53 +30,71 @@ from .witnesses import (
     validate_anticycle,
 )
 
+# labeled enumeration visits 3^(n choose 2) graphs: 59,049 at n=5, 14.3M at n=6
+ENUMERATION_CAP = 5
+
 
 class CapExceededError(ValueError):
-    """Enumeration request beyond the configured vertex-count cap."""
+    """Enumeration request beyond ENUMERATION_CAP vertices."""
+
+
+def _antipaths(
+    g: OrientedGraph, cap: int, start_forward: bool | None = None, ties: bool = False
+) -> tuple[int, list[tuple[int, ...]]]:
+    """(best_len, seqs): the longest alternating paths of length at most cap.
+
+    Sequences are visited in lexicographic order. Without ties, seqs holds
+    only the first sequence of maximum length and the walk stops at the first
+    one of length cap; with ties, seqs holds every sequence of maximum length,
+    in order. start_forward, when given, pins the direction of the first arc.
+    An arcless graph gives (0, []).
+    """
+    out_m, in_m = g.adjacency_masks()
+    best_len = 0
+    found: list[tuple[int, ...]] = []
+    seq = [0] * (cap + 1)
+
+    def place(bit: int, depth: int, visited: int, forward_next: bool) -> bool:
+        # puts the vertex of bit at seq[depth] and walks on; True stops the walk
+        nonlocal best_len, found
+        w = bit.bit_length() - 1
+        seq[depth] = w
+        if depth > best_len:
+            best_len = depth
+            found = [tuple(seq[: depth + 1])]
+            if depth == cap and not ties:
+                return True
+        elif ties and depth == best_len:
+            found.append(tuple(seq[: depth + 1]))
+        if depth == cap:
+            return False
+        visited |= bit
+        cand = (out_m[w] if forward_next else in_m[w]) & ~visited
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            if place(low, depth + 1, visited, not forward_next):
+                return True
+        return False
+
+    for v0 in range(g.n):
+        seq[0] = v0
+        if start_forward is None:
+            cand = out_m[v0] | in_m[v0]
+        else:
+            cand = out_m[v0] if start_forward else in_m[v0]
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            if place(bit, 1, 1 << v0, not out_m[v0] & bit):
+                return best_len, found
+    return best_len, found
 
 
 def longest_antipath(g: OrientedGraph) -> AntipathWitness | None:
     """A maximum-length alternating path, or None iff the graph is arcless."""
-    n = g.n
-    if g.arc_count == 0:
-        return None
-    out_m, in_m = g.adjacency_masks()
-    best_len = 0
-    best_seq: tuple[int, ...] = ()
-    seq = [0] * n
-
-    def extend(u: int, depth: int, visited: int, forward_next: bool) -> None:
-        nonlocal best_len, best_seq
-        if best_len >= n - 1:  # Hamiltonian: nothing can be longer
-            return
-        cand = (out_m[u] if forward_next else in_m[u]) & ~visited
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            w = bit.bit_length() - 1
-            seq[depth] = w
-            if depth > best_len:
-                best_len = depth
-                best_seq = tuple(seq[: depth + 1])
-            extend(w, depth + 1, visited | bit, not forward_next)
-
-    for v0 in range(n):
-        if best_len >= n - 1:
-            break
-        seq[0] = v0
-        cand = out_m[v0] | in_m[v0]
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            w = bit.bit_length() - 1
-            forward = bool(out_m[v0] & bit)
-            seq[1] = w
-            if best_len == 0:
-                best_len = 1
-                best_seq = (v0, w)
-            extend(w, 2, (1 << v0) | bit, not forward)
-
-    return validate_antipath(g, best_seq)
+    _, seqs = _antipaths(g, g.n - 1)
+    return validate_antipath(g, seqs[0]) if seqs else None
 
 
 def all_longest_antipaths(g: OrientedGraph) -> tuple[int, list[tuple[int, ...]]]:
@@ -84,43 +104,7 @@ def all_longest_antipaths(g: OrientedGraph) -> tuple[int, list[tuple[int, ...]]]
     Unpruned full enumeration: intended for small graphs (n <= 8 or so).
     Returns (0, []) for an arcless graph.
     """
-    n = g.n
-    if g.arc_count == 0:
-        return 0, []
-    out_m, in_m = g.adjacency_masks()
-    best_len = 1
-    found: list[tuple[int, ...]] = []
-    seq = [0] * n
-
-    def extend(u: int, depth: int, visited: int, forward_next: bool) -> None:
-        nonlocal best_len, found
-        cand = (out_m[u] if forward_next else in_m[u]) & ~visited
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            w = bit.bit_length() - 1
-            seq[depth] = w
-            if depth > best_len:
-                best_len = depth
-                found = [tuple(seq[: depth + 1])]
-            elif depth == best_len:
-                found.append(tuple(seq[: depth + 1]))
-            extend(w, depth + 1, visited | bit, not forward_next)
-
-    for v0 in range(n):
-        seq[0] = v0
-        cand = out_m[v0] | in_m[v0]
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            w = bit.bit_length() - 1
-            forward = bool(out_m[v0] & bit)
-            seq[1] = w
-            if best_len == 1:
-                found.append((v0, w))
-            extend(w, 2, (1 << v0) | bit, not forward)
-
-    return best_len, found
+    return _antipaths(g, g.n - 1, ties=True)
 
 
 def contains_antipath_of_length(
@@ -135,42 +119,10 @@ def contains_antipath_of_length(
     """
     if k < 1:
         raise ValueError(f"length must be >= 1, got {k}")
-    n = g.n
-    if k > n - 1 or g.arc_count == 0:
+    if k > g.n - 1:
         return None
-    out_m, in_m = g.adjacency_masks()
-    seq = [0] * (k + 1)
-
-    def extend(u: int, depth: int, visited: int, forward_next: bool) -> bool:
-        cand = (out_m[u] if forward_next else in_m[u]) & ~visited
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            w = bit.bit_length() - 1
-            seq[depth] = w
-            if depth == k:
-                return True
-            if extend(w, depth + 1, visited | bit, not forward_next):
-                return True
-        return False
-
-    for v0 in range(n):
-        seq[0] = v0
-        if start_forward is None:
-            cand = out_m[v0] | in_m[v0]
-        elif start_forward:
-            cand = out_m[v0]
-        else:
-            cand = in_m[v0]
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            w = bit.bit_length() - 1
-            forward = bool(out_m[v0] & bit)
-            seq[1] = w
-            if k == 1 or extend(w, 2, (1 << v0) | bit, not forward):
-                return validate_antipath(g, tuple(seq[: k + 1]))
-    return None
+    length, seqs = _antipaths(g, k, start_forward)
+    return validate_antipath(g, seqs[0]) if length == k else None
 
 
 def longest_anticycle(g: OrientedGraph) -> AnticycleWitness | None:
@@ -260,30 +212,24 @@ def graph_from_code(n: int, code: int) -> OrientedGraph:
     The code is read in base 3, one trit per unordered pair in lexicographic
     order: 0 no arc, 1 arc low -> high, 2 arc high -> low.
     """
-    g = OrientedGraph(n)
+    arcs = []
     t = code
     for u, v in enumerate_pairs(n):
-        r = t % 3
-        t //= 3
+        t, r = divmod(t, 3)
         if r == 1:
-            g._out[u].add(v)
-            g._in[v].add(u)
-            g._arc_count += 1
+            arcs.append((u, v))
         elif r == 2:
-            g._out[v].add(u)
-            g._in[u].add(v)
-            g._arc_count += 1
-    return g
+            arcs.append((v, u))
+    return OrientedGraph.from_arcs(n, arcs)
 
 
-def enumerate_oriented_graphs(n: int, cap: int = 5) -> Iterator[OrientedGraph]:
+def enumerate_oriented_graphs(n: int) -> Iterator[OrientedGraph]:
     """All labeled oriented graphs on n vertices, exactly once each.
 
     No isomorphism reduction: 3^(n choose 2) graphs, which is desk-scale for
-    n <= 5. Larger n raises CapExceededError unless the cap is raised
-    explicitly.
+    n <= ENUMERATION_CAP. Larger n raises CapExceededError.
     """
-    if n > cap:
-        raise CapExceededError(f"n={n} exceeds enumeration cap {cap}")
+    if n > ENUMERATION_CAP:
+        raise CapExceededError(f"n={n} exceeds enumeration cap {ENUMERATION_CAP}")
     for code in range(count_oriented_graphs(n)):
         yield graph_from_code(n, code)

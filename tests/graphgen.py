@@ -12,6 +12,7 @@ import itertools
 from hypothesis import strategies as st
 
 from antipaths import (
+    AntipathWitness,
     OrientedGraph,
     WitnessError,
     validate_anticycle,
@@ -38,28 +39,21 @@ def oriented_graphs(draw, min_n: int = 2, max_n: int = 6) -> OrientedGraph:
     return graph_from_trits(n, trits)
 
 
-def brute_longest_antipath_len(g: OrientedGraph) -> int:
-    """Maximum alternating-path length by checking every vertex permutation."""
-    best = 0
-    for size in range(2, g.n + 1):
-        for seq in itertools.permutations(range(g.n), size):
-            try:
-                validate_antipath(g, seq)
-            except WitnessError:
-                continue
-            best = max(best, size - 1)
-    return best
-
-
-def brute_has_antipath(g: OrientedGraph, k: int, start_forward: bool | None = None) -> bool:
+def brute_antipaths(g: OrientedGraph, k: int) -> list[AntipathWitness]:
+    """Every antipath of length k, one per traversal, by checking every vertex
+    permutation; in lexicographic order of the vertex sequence."""
+    found = []
     for seq in itertools.permutations(range(g.n), k + 1):
         try:
-            wit = validate_antipath(g, seq)
+            found.append(validate_antipath(g, seq))
         except WitnessError:
             continue
-        if start_forward is None or wit.start_forward == start_forward:
-            return True
-    return False
+    return found
+
+
+def brute_longest_antipath_len(g: OrientedGraph) -> int:
+    """Maximum alternating-path length; 0 for an arcless graph."""
+    return max((k for k in range(1, g.n) if brute_antipaths(g, k)), default=0)
 
 
 def brute_longest_anticycle_len(g: OrientedGraph) -> int:

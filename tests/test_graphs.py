@@ -10,7 +10,6 @@ from antipaths import (
     cycle_blowup,
     format_edge_list,
     graph_hash,
-    new_graph,
     parse_edge_list,
     random_oriented_graph,
     relabel,
@@ -21,15 +20,15 @@ from graphgen import oriented_graphs
 
 
 def test_new_graph_empty_and_isolated():
-    g = new_graph(0)
+    g = OrientedGraph(0)
     assert g.n == 0 and g.arc_count == 0
-    g3 = new_graph(3)
+    g3 = OrientedGraph(3)
     assert g3.n == 3 and g3.arc_count == 0
     assert g3.arcs() == []
 
 
 def test_add_arc_and_queries():
-    g = new_graph(2)
+    g = OrientedGraph(2)
     g.add_arc(0, 1)
     assert g.has_arc(0, 1) and not g.has_arc(1, 0)
     assert g.out_neighbors(0) == {1}
@@ -38,7 +37,7 @@ def test_add_arc_and_queries():
 
 
 def test_add_arc_errors():
-    g = new_graph(3)
+    g = OrientedGraph(3)
     g.add_arc(0, 1)
     with pytest.raises(AntiparallelArcError):
         g.add_arc(1, 0)
@@ -48,6 +47,13 @@ def test_add_arc_errors():
         g.add_arc(2, 2)
     with pytest.raises(ValueError):
         g.add_arc(0, 3)
+
+
+def test_has_arc_is_false_out_of_range():
+    g = OrientedGraph.from_arcs(3, [(0, 1), (2, 1)])
+    for u, v in [(0, -1), (-1, 1), (0, 3), (3, 1), (-1, -1), (0, 10**6), (10**6, 0)]:
+        assert not g.has_arc(u, v)
+    assert not OrientedGraph(0).has_arc(0, 0)
 
 
 def test_degree_profile_single_arc():
@@ -65,7 +71,7 @@ def test_degree_profile_blowup():
 
 
 def test_degree_profile_arcless():
-    p = new_graph(5).degree_profile()
+    p = OrientedGraph(5).degree_profile()
     assert p.min_semidegree == 0 and p.min_pseudo_semidegree == 0
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -22,12 +23,18 @@ import antipaths.harness as harness
 import antipaths.cli as cli
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
 def run_cli(*args, check=False):
+    # the child imports this checkout's package, installed or not
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "antipaths", *args],
         capture_output=True,
         text=True,
-        cwd=str(Path(__file__).resolve().parent.parent),
+        cwd=str(ROOT),
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     if check and proc.returncode != 0:
         raise AssertionError(f"CLI failed ({proc.returncode}): {proc.stderr}")
@@ -269,6 +276,26 @@ def test_cli_subprocess_streams_json():
 )
 def test_cli_construction_errors_exit_2(construction):
     proc = run_cli("audit", "--k", "4", "--samples", "2", "--construction", construction)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "case", ["verify-floor-unreachable", "audit-floor-unreachable", "input-is-dir", "input-not-utf8"]
+)
+def test_cli_run_errors_exit_2(tmp_path, case):
+    not_utf8 = tmp_path / "latin1.el"
+    not_utf8.write_bytes(b"2 1\n0 1 \xe9\n")
+    args = {
+        # the degree floor 3 of k=4 cannot be reached on 7 vertices
+        "verify-floor-unreachable": ["verify-theorem", "--k", "4", "--n", "7", "--samples", "2"],
+        "audit-floor-unreachable": ["audit", "--k", "4", "--n", "7", "--samples", "2"],
+        "input-is-dir": ["search", "--input", str(tmp_path)],
+        "input-not-utf8": ["search", "--input", str(not_utf8)],
+    }[case]
+    proc = run_cli(*args)
     assert proc.returncode == 2
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()

@@ -23,8 +23,10 @@ from antipaths import (
     validate_anticycle,
 )
 
+from antipaths.oracle import ENUMERATION_CAP
+
 from graphgen import (
-    brute_has_antipath,
+    brute_antipaths,
     brute_longest_antipath_len,
     brute_longest_anticycle_len,
     oriented_graphs,
@@ -53,26 +55,39 @@ def test_arcless_graph_has_no_antipath():
     assert longest_antipath(OrientedGraph(4)) is None
 
 
+def _least(witnesses, start_forward=None):
+    """The first vertex sequence of the requested shape in a sorted witness list."""
+    return next(
+        (w.vertices for w in witnesses if start_forward in (None, w.start_forward)), None
+    )
+
+
 @given(oriented_graphs(max_n=6))
 def test_longest_matches_brute_force(g):
+    m = brute_longest_antipath_len(g)
     w = longest_antipath(g)
-    got = 0 if w is None else w.length
-    assert got == brute_longest_antipath_len(g)
-    if w is not None:
-        validate_antipath(g, w.vertices)
+    # the lexicographically least sequence of maximum length; None iff arcless
+    expected = _least(brute_antipaths(g, m)) if m else None
+    assert (None if w is None else w.vertices) == expected
 
 
 @given(oriented_graphs(max_n=6))
 @settings(max_examples=60)
 def test_contains_matches_brute_force(g):
-    for k in (1, 2, 3, 4):
+    for k in range(1, g.n + 1):
+        witnesses = brute_antipaths(g, k)
         for flag in (None, True, False):
             wit = contains_antipath_of_length(g, k, flag)
-            assert (wit is not None) == brute_has_antipath(g, k, flag)
-            if wit is not None:
-                assert wit.length == k
-                if flag is not None:
-                    assert wit.start_forward == flag
+            # the witness is the least length-k sequence of the requested shape
+            assert (None if wit is None else wit.vertices) == _least(witnesses, flag)
+
+
+@given(oriented_graphs(max_n=6))
+@settings(max_examples=60)
+def test_all_longest_matches_brute_force(g):
+    m = brute_longest_antipath_len(g)
+    ties = [w.vertices for w in brute_antipaths(g, m)] if m else []
+    assert all_longest_antipaths(g) == (m, sorted(ties))
 
 
 def test_contains_blowup_examples():
@@ -129,10 +144,7 @@ def test_enumeration_is_exhaustive_and_distinct_n3():
 
 def test_enumeration_cap():
     with pytest.raises(CapExceededError):
-        next(enumerate_oriented_graphs(6))
-    # explicit cap raise is allowed
-    g = next(enumerate_oriented_graphs(6, cap=6))
-    assert g.n == 6
+        next(enumerate_oriented_graphs(ENUMERATION_CAP + 1))
 
 
 def test_graph_from_code_roundtrip_spotcheck():

@@ -2,7 +2,8 @@
 
 Five subcommands, one per campaign mode. Exit codes: 0 all records ok,
 1 at least one verification failure, 2 config or input error (including an
-unreadable input file and a generator that cannot reach the degree floor).
+unreadable input file, a generator that cannot reach the degree floor and an
+input whose antipaths are too long for the recursive exact search).
 """
 
 from __future__ import annotations
@@ -116,6 +117,15 @@ def main(argv: list[str] | None = None) -> int:
         UnicodeDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # the exact walker recurses once per placed path vertex
+        print(
+            f"error: an exact search went deeper than Python's recursion limit of "
+            f"{sys.getrecursionlimit()} frames; antipaths of more than about that "
+            f"many arcs cannot be searched",
+            file=sys.stderr,
+        )
         return 2
 
 

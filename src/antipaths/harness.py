@@ -256,14 +256,15 @@ def _exhaustive_trial(params: dict, code: int) -> dict:
     # best off-path slack over forward-first longest traversals: the larger of
     # (in-neighbors of the second vertex outside the path) and (out-neighbors
     # of the penultimate vertex outside the path)
+    out_m, in_m = g.adjacency_masks()
     slack = None
     for t in traversals:
         if not g.has_arc(t[0], t[1]):
             continue
-        on_path = set(t)
+        off_path = ~sum(1 << v for v in t)
         side = max(
-            len(g.in_neighbors(t[1]) - on_path),
-            len(g.out_neighbors(t[-2]) - on_path),
+            (in_m[t[1]] & off_path).bit_count(),
+            (out_m[t[-2]] & off_path).bit_count(),
         )
         slack = side if slack is None else max(slack, side)
 

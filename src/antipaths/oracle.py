@@ -7,11 +7,17 @@ which halves the branching factor compared to generic longest-path search.
 
 These searches are the reference the heuristic engine is checked against, so
 they favor obvious correctness over cleverness. Every path query is answered
-by one walker, `_antipaths`, which does not prune: it searches up to a length
-cap and stops at the first path that reaches the cap, unless it is asked for
-every tie. The longest-path query caps at n - 1, so its only early stop is a
-Hamiltonian path; the fixed-length queries cap at k. The cycle search has its
-own walker, which alone bounds by the vertices still available.
+by one walker, `_antipaths`. It searches up to a length cap and stops at the
+first path that reaches the cap, unless it is asked for every tie; the
+longest-path query caps at n - 1, the fixed-length queries at k. At each node
+it bounds what the path can still gain by the unvisited vertices that
+alternating walks from the endpoint reach through unvisited vertices
+(reachability in the split bipartite graph B(D)). A subtree is cut when that
+bound cannot beat the best length found so far, or, when every tie is asked
+for, only when it cannot even match it. The cut subtrees hold no path that
+would be recorded, so answers and their order are those of the full walk.
+The cycle search has its own walker, which bounds by the vertices still
+available.
 
 Determinism contract: starts are tried in increasing vertex order and
 candidates in increasing bit order, so the returned witness is the
@@ -36,6 +42,41 @@ ENUMERATION_CAP = 5
 
 class CapExceededError(ValueError):
     """Enumeration request beyond ENUMERATION_CAP vertices."""
+
+
+def _reaches(
+    out_m: list[int], in_m: list[int], first: int, first_by_out: bool, free: int, need: int
+) -> bool:
+    """Whether alternating walks reach at least need vertices beyond their end.
+
+    first holds the vertices one arc from the walks' end, fewer than need of
+    them, entered by an out-arc of the end when first_by_out, else by an
+    in-arc; every later vertex must be in free. This is reachability in the split bipartite graph
+    B(D), where arc u -> v becomes edge u+ v-: one frontier holds the vertices
+    whose next arc leaves them, the other those whose next arc enters them.
+    The search stops as soon as need vertices are reached.
+    """
+    seen_out, seen_in = (0, first) if first_by_out else (first, 0)
+    front_out, front_in = seen_out, seen_in
+    while True:
+        new_in = 0
+        while front_out:
+            low = front_out & -front_out
+            front_out ^= low
+            new_in |= out_m[low.bit_length() - 1]
+        new_out = 0
+        while front_in:
+            low = front_in & -front_in
+            front_in ^= low
+            new_out |= in_m[low.bit_length() - 1]
+        front_in = new_in & free & ~seen_in
+        front_out = new_out & free & ~seen_out
+        if not (front_in or front_out):
+            return False
+        seen_in |= front_in
+        seen_out |= front_out
+        if (seen_out | seen_in).bit_count() >= need:
+            return True
 
 
 def _antipaths(
@@ -70,6 +111,16 @@ def _antipaths(
             return False
         visited |= bit
         cand = (out_m[w] if forward_next else in_m[w]) & ~visited
+        # a path through here beats best_len (with ties: matches it) only if
+        # need more vertices are reachable. Each candidate is one of them, so
+        # the BFS runs only when they are too few, and not for a single
+        # candidate, whose own check one level down is at least as tight.
+        if cand & (cand - 1):
+            need = best_len - depth + (not ties)
+            if cand.bit_count() < need and not _reaches(
+                out_m, in_m, cand, forward_next, ~visited, need
+            ):
+                return False
         while cand:
             low = cand & -cand
             cand ^= low
@@ -101,7 +152,9 @@ def all_longest_antipaths(g: OrientedGraph) -> tuple[int, list[tuple[int, ...]]]
     """Every maximum-length traversal, as raw sequences.
 
     Each path appears once per traversal direction (twice in total).
-    Unpruned full enumeration: intended for small graphs (n <= 8 or so).
+    The walk cuts a subtree only when its reachability bound falls short of
+    the best length, never when it could still tie it, so no tie is lost.
+    Meant for small graphs: the tie set itself can be exponential in n.
     Returns (0, []) for an arcless graph.
     """
     return _antipaths(g, g.n - 1, ties=True)

@@ -49,22 +49,16 @@ def exhaustive_n5_records():
 
 
 def test_criterion_1_tightness_reproduction():
-    t0 = time.monotonic()
-    (r4,) = run_mode(mode="tightness", k=4)
-    t4 = time.monotonic() - t0
-    t0 = time.monotonic()
-    (r6,) = run_mode(mode="tightness", k=6)
-    t6 = time.monotonic() - t0
-    ok = (
-        r4["pd"] == 2 and r4["longest_len"] == 3 and t4 < 10.0
-        and r6["pd"] == 3 and r6["longest_len"] == 5 and t6 < 10.0
-    )
-    report(
-        "1 tightness",
-        ok,
-        f"k=4 pd={r4['pd']} longest={r4['longest_len']} ({t4:.1f}s); "
-        f"k=6 pd={r6['pd']} longest={r6['longest_len']} ({t6:.1f}s)",
-    )
+    # every even k up to 20 (blobs b = 2..10), each within its own budget
+    details = []
+    ok = True
+    for k in range(4, 21, 2):
+        t0 = time.monotonic()
+        (r,) = run_mode(mode="tightness", k=k)
+        elapsed = time.monotonic() - t0
+        ok = ok and r["pd"] == k // 2 and r["longest_len"] == k - 1 and elapsed < 10.0
+        details.append(f"k={k} pd={r['pd']} longest={r['longest_len']} ({elapsed:.1f}s)")
+    report("1 tightness", ok, "; ".join(details))
 
 
 def test_criterion_2_theorem_sampling():

@@ -283,23 +283,31 @@ def test_cli_construction_errors_exit_2(construction):
 
 
 @pytest.mark.parametrize(
-    "case", ["verify-floor-unreachable", "audit-floor-unreachable", "input-is-dir", "input-not-utf8"]
+    "case",
+    ["verify-floor-unreachable", "audit-floor-unreachable", "input-is-dir", "input-not-utf8",
+     "path-too-deep"],
 )
 def test_cli_run_errors_exit_2(tmp_path, case):
     not_utf8 = tmp_path / "latin1.el"
     not_utf8.write_bytes(b"2 1\n0 1 \xe9\n")
+    # the 1500-vertex alternating path: the exact walker recurses once per vertex
+    deep = tmp_path / "alternating-path.el"
+    arcs = [(i, i + 1) if i % 2 == 0 else (i + 1, i) for i in range(1499)]
+    deep.write_text(f"1500 {len(arcs)}\n" + "".join(f"{u} {v}\n" for u, v in arcs))
     args = {
         # the degree floor 3 of k=4 cannot be reached on 7 vertices
         "verify-floor-unreachable": ["verify-theorem", "--k", "4", "--n", "7", "--samples", "2"],
         "audit-floor-unreachable": ["audit", "--k", "4", "--n", "7", "--samples", "2"],
         "input-is-dir": ["search", "--input", str(tmp_path)],
         "input-not-utf8": ["search", "--input", str(not_utf8)],
+        "path-too-deep": ["search", "--input", str(deep)],
     }[case]
     proc = run_cli(*args)
     assert proc.returncode == 2
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert case != "path-too-deep" or "recursion limit" in lines[0]
 
 
 def test_cli_search_roundtrip(tmp_path):

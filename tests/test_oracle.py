@@ -23,6 +23,7 @@ from antipaths import (
     validate_anticycle,
 )
 
+from antipaths import oracle
 from antipaths.oracle import ENUMERATION_CAP
 
 from graphgen import (
@@ -49,6 +50,27 @@ def test_blowup_longest_is_three():
     w = longest_antipath(cycle_blowup(3, 2))
     assert w.length == 3
     assert w.vertices == (0, 2, 1, 3)  # lexicographically least witness
+
+
+@pytest.mark.parametrize("b", range(2, 11))
+def test_blowup_longest_is_one_short_of_twice_the_blob(b, monkeypatch):
+    # the tightness construction. The reachability bound keeps the walk near
+    # 7b^2 nodes, one bound evaluation each at most; unpruned, b=6 takes 12M
+    # nodes and b=7 minutes, so a bound that stops pruning fails here fast.
+    evaluations = 0
+    reaches = oracle._reaches
+
+    def counted(*args):
+        nonlocal evaluations
+        evaluations += 1
+        assert evaluations <= 20 * b * b, "the bound no longer prunes the blow-up"
+        return reaches(*args)
+
+    monkeypatch.setattr(oracle, "_reaches", counted)
+    g = cycle_blowup(3, b)
+    w = longest_antipath(g)
+    assert w.length == 2 * b - 1
+    assert validate_antipath(g, w.vertices).length == 2 * b - 1
 
 
 def test_arcless_graph_has_no_antipath():
@@ -88,6 +110,40 @@ def test_all_longest_matches_brute_force(g):
     m = brute_longest_antipath_len(g)
     ties = [w.vertices for w in brute_antipaths(g, m)] if m else []
     assert all_longest_antipaths(g) == (m, sorted(ties))
+
+
+def _near_extremal(seed):
+    """cycle_blowup(3, 2), or cycle_blowup(3, 3) less one vertex, with 1-3 arcs
+    flipped or deleted: the graphs on which the reachability bound prunes most."""
+    rng = random.Random(seed)
+    if seed % 4:
+        n, arcs = 6, cycle_blowup(3, 2).arcs()
+    else:
+        gone = rng.randrange(9)
+        n = 8
+        arcs = [
+            (u - (u > gone), v - (v > gone))
+            for u, v in cycle_blowup(3, 3).arcs()
+            if gone not in (u, v)
+        ]
+    for u, v in rng.sample(arcs, rng.randint(1, 3)):
+        arcs.remove((u, v))
+        if rng.random() < 0.5:
+            arcs.append((v, u))
+    return OrientedGraph.from_arcs(n, arcs)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_near_extremal_matches_brute_force(seed):
+    g = _near_extremal(seed)
+    by_len = {k: brute_antipaths(g, k) for k in range(1, g.n)}
+    m = max(k for k, ws in by_len.items() if ws)
+    assert longest_antipath(g).vertices == _least(by_len[m])
+    assert all_longest_antipaths(g) == (m, [w.vertices for w in by_len[m]])
+    for k, witnesses in by_len.items():
+        for flag in (None, True, False):
+            wit = contains_antipath_of_length(g, k, flag)
+            assert (None if wit is None else wit.vertices) == _least(witnesses, flag)
 
 
 def test_contains_blowup_examples():

@@ -180,7 +180,12 @@ def relabel(g: OrientedGraph, perm: Sequence[int]) -> OrientedGraph:
 
 def graph_hash(g: OrientedGraph) -> str:
     """Stable 64-bit hash (16 hex chars) over the sorted arc list."""
-    text = f"{g.n}|" + ";".join(f"{u},{v}" for u, v in g.arcs())
+    return _arcs_hash(g.n, g.arcs())
+
+
+def _arcs_hash(n: int, arcs: list[tuple[int, int]]) -> str:
+    """graph_hash of the graph on n vertices whose sorted arc list is arcs."""
+    text = f"{n}|" + ";".join(f"{u},{v}" for u, v in arcs)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 

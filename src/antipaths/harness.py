@@ -7,6 +7,10 @@ distributed over worker processes; records are merged back in trial order.
 
 Record streams deliberately contain no wall-clock data (timing goes to the
 stderr summary instead) so that repeated runs are byte-identical.
+
+`exhaustive-lemmas` still writes one record per labeled graph, but checks
+each isomorphism class once: the lemma fields are computed on the class
+representative, and each labeled record takes them with its own graph fields.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Callable, Iterable
 
 from . import constructions as cons
 from . import oracle
-from .graphs import OrientedGraph, graph_hash, read_edge_list, to_dot
+from .graphs import OrientedGraph, _arcs_hash, read_edge_list, to_dot
 from .rotation import audit_maximality, build_state, improve
 from .witnesses import validate_antipath, witness_arcs
 
@@ -173,11 +177,12 @@ def derive_seed(master: int, index: int) -> int:
 
 
 def _graph_fields(g: OrientedGraph) -> dict:
+    arcs = g.arcs()
     return {
-        "hash": graph_hash(g),
+        "hash": _arcs_hash(g.n, arcs),
         "n": g.n,
         "arc_count": g.arc_count,
-        "arcs": [[u, v] for u, v in g.arcs()],
+        "arcs": [[u, v] for u, v in arcs],
     }
 
 
@@ -245,9 +250,8 @@ def _tightness_record(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _exhaustive_trial(params: dict, code: int) -> dict:
-    n = params["n"]
-    g = oracle.graph_from_code(n, code)
+def _lemma_fields(g: OrientedGraph, k_min: int, k_max: int) -> dict:
+    """The exhaustive-lemmas fields of g, each invariant under relabeling."""
     prof = g.degree_profile()
     pd = prof.min_pseudo_semidegree
     m, traversals = oracle.all_longest_antipaths(g)
@@ -269,7 +273,7 @@ def _exhaustive_trial(params: dict, code: int) -> dict:
         slack = side if slack is None else max(slack, side)
 
     violations = []
-    for k in range(params["k_min"], params["k_max"] + 1):
+    for k in range(k_min, k_max + 1):
         weak = 2 * pd >= k  # positive-degree floor at least k/2
         strong = 2 * pd > k
         if weak and m < k and m % 2 == 0:
@@ -287,17 +291,24 @@ def _exhaustive_trial(params: dict, code: int) -> dict:
                     {"k": k, "check": "endpoint_slack", "slack": slack}
                 )
     return {
-        "config": params["echo"],
-        "mode": "exhaustive-lemmas",
-        "trial": code,
-        "sub_seed": None,
-        "graph": _graph_fields(g),
         "pd": pd,
         "delta": prof.min_semidegree,
         "longest_len": m,
         "anticycle_lengths": cycle_lengths,
         "violations": violations,
         "ok": not violations,
+    }
+
+
+def _exhaustive_trial(params: dict, code: int) -> dict:
+    # in one process, the records of a class share its lists: read them only
+    return {
+        "config": params["echo"],
+        "mode": "exhaustive-lemmas",
+        "trial": code,
+        "sub_seed": None,
+        "graph": _graph_fields(oracle.graph_from_code(params["n"], code)),
+        **params["classes"][params["class_of"][code]],
     }
 
 
@@ -414,14 +425,17 @@ def run_tightness(cfg: ExperimentConfig) -> list[dict]:
 
 
 def run_exhaustive_lemmas(cfg: ExperimentConfig) -> list[dict]:
+    class_of, reps = oracle.isomorphism_classes(cfg.n)
     params = {
         "n": cfg.n,
-        "k_min": cfg.k_min,
-        "k_max": cfg.k_max,
         "echo": cfg.echo(),
+        "class_of": class_of,
+        "classes": [
+            _lemma_fields(oracle.graph_from_code(cfg.n, rep), cfg.k_min, cfg.k_max)
+            for rep in reps
+        ],
     }
-    total = oracle.count_oriented_graphs(cfg.n)
-    return _map_trials(_exhaustive_trial, params, total, cfg.jobs)
+    return _map_trials(_exhaustive_trial, params, len(class_of), cfg.jobs)
 
 
 def run_audit(cfg: ExperimentConfig) -> list[dict]:

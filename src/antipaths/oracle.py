@@ -19,6 +19,10 @@ would be recorded, so answers and their order are those of the full walk.
 The cycle search has its own walker, which bounds by the vertices still
 available.
 
+Exhaustive checks enumerate labeled graphs by base-3 code. Every lemma they
+check is invariant under relabeling, so `isomorphism_classes` maps each code
+to its isomorphism class, and the searches run once per class representative.
+
 Determinism contract: starts are tried in increasing vertex order and
 candidates in increasing bit order, so the returned witness is the
 lexicographically least vertex sequence among those of maximum length.
@@ -26,6 +30,7 @@ lexicographically least vertex sequence among those of maximum length.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterator
 
 from .graphs import OrientedGraph, enumerate_pairs
@@ -276,13 +281,63 @@ def graph_from_code(n: int, code: int) -> OrientedGraph:
     return OrientedGraph.from_arcs(n, arcs)
 
 
+def _check_cap(n: int) -> None:
+    if n > ENUMERATION_CAP:
+        raise CapExceededError(f"n={n} exceeds enumeration cap {ENUMERATION_CAP}")
+
+
 def enumerate_oriented_graphs(n: int) -> Iterator[OrientedGraph]:
     """All labeled oriented graphs on n vertices, exactly once each.
 
-    No isomorphism reduction: 3^(n choose 2) graphs, which is desk-scale for
-    n <= ENUMERATION_CAP. Larger n raises CapExceededError.
+    Every labeled copy is yielded, 3^(n choose 2) graphs, which is desk-scale
+    for n <= ENUMERATION_CAP; `isomorphism_classes` groups them by class.
+    Larger n raises CapExceededError.
     """
-    if n > ENUMERATION_CAP:
-        raise CapExceededError(f"n={n} exceeds enumeration cap {ENUMERATION_CAP}")
+    _check_cap(n)
     for code in range(count_oriented_graphs(n)):
         yield graph_from_code(n, code)
+
+
+def isomorphism_classes(n: int) -> tuple[list[int], list[int]]:
+    """(class_of, reps): the isomorphism classes of the codes of graph_from_code.
+
+    class_of[code] is the class index of every code, and reps[c] is the least
+    code in class c, so classes are numbered in increasing order of their
+    representatives. Codes are walked in increasing order; each one not yet
+    classed opens a class and marks the code of each of its n! relabelings.
+    A relabeling moves every trit to the image pair, and swaps trits 1 and 2
+    when the permutation reverses the pair's order. Like
+    enumerate_oriented_graphs, it raises CapExceededError for n above
+    ENUMERATION_CAP.
+    """
+    _check_cap(n)
+    pairs = list(enumerate_pairs(n))
+    unit = {pair: 3**i for i, pair in enumerate(pairs)}
+    # weights[p][3 * i + t]: what trit t of pair i adds to the image code
+    # under permutation p
+    weights = []
+    for perm in itertools.permutations(range(n)):
+        w: list[int] = []
+        for u, v in pairs:
+            a, b = perm[u], perm[v]
+            if a < b:
+                w += (0, unit[a, b], 2 * unit[a, b])
+            else:
+                w += (0, 2 * unit[b, a], unit[b, a])
+        weights.append(w)
+    class_of = [-1] * count_oriented_graphs(n)
+    reps: list[int] = []
+    for code in range(len(class_of)):
+        if class_of[code] >= 0:
+            continue
+        digits = []  # 3 * i + t for every nonzero trit t of pair i
+        t = code
+        for i in range(len(pairs)):
+            t, r = divmod(t, 3)
+            if r:
+                digits.append(3 * i + r)
+        c = len(reps)
+        for w in weights:
+            class_of[sum([w[d] for d in digits])] = c
+        reps.append(code)
+    return class_of, reps

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from antipaths import OrientedGraph, cycle_blowup, format_edge_list, graph_hash
+from antipaths import OrientedGraph, cycle_blowup, format_edge_list, graph_from_code, graph_hash
 from antipaths.harness import (
     ConfigError,
     ExperimentConfig,
@@ -148,6 +148,24 @@ def test_exhaustive_holds_across_wide_k_range():
     assert all(not r["violations"] for r in records)
 
 
+@pytest.mark.parametrize("n, stride", [(4, 1), (5, 61)])
+def test_exhaustive_records_match_their_own_graph(n, stride):
+    # the lemma fields are computed once per isomorphism class, on its
+    # representative; each record must still hold what its own graph gives
+    records = records_for(mode="exhaustive-lemmas", n=n, k_min=1, k_max=12)
+    assert [r["trial"] for r in records] == list(range(3 ** (n * (n - 1) // 2)))
+    for r in records[::stride]:
+        g = graph_from_code(n, r["trial"])
+        fields = harness._lemma_fields(g, 1, 12)
+        assert {key: r[key] for key in fields} == fields
+        assert r["graph"] == {
+            "hash": graph_hash(g),
+            "n": n,
+            "arc_count": g.arc_count,
+            "arcs": [list(arc) for arc in g.arcs()],
+        }
+
+
 def test_audit_with_blowup_construction_is_not_a_failure():
     records = records_for(
         mode="audit", k=4, n=6, samples=1, construction="cycle-blowup:ell=3,b=2"
@@ -184,8 +202,8 @@ def test_parallel_runs_match_serial():
     serial = records_for(mode="audit", k=4, samples=6, seed=3, jobs=1)
     parallel = records_for(mode="audit", k=4, samples=6, seed=3, jobs=2)
     assert records_to_json_lines(serial) == records_to_json_lines(parallel)
-    e1 = records_for(mode="exhaustive-lemmas", n=3, jobs=1)
-    e2 = records_for(mode="exhaustive-lemmas", n=3, jobs=2)
+    e1 = records_for(mode="exhaustive-lemmas", n=4, jobs=1)
+    e2 = records_for(mode="exhaustive-lemmas", n=4, jobs=2)
     assert records_to_json_lines(e1) == records_to_json_lines(e2)
 
 

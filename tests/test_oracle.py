@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -24,7 +26,7 @@ from antipaths import (
 )
 
 from antipaths import oracle
-from antipaths.oracle import ENUMERATION_CAP
+from antipaths.oracle import ENUMERATION_CAP, isomorphism_classes
 
 from graphgen import (
     brute_antipaths,
@@ -201,6 +203,61 @@ def test_enumeration_is_exhaustive_and_distinct_n3():
 def test_enumeration_cap():
     with pytest.raises(CapExceededError):
         next(enumerate_oriented_graphs(ENUMERATION_CAP + 1))
+    with pytest.raises(CapExceededError):
+        isomorphism_classes(ENUMERATION_CAP + 1)
+
+
+# unlabeled oriented graphs on n = 0..5 vertices (OEIS A001174)
+A001174 = [1, 1, 2, 7, 42, 582]
+
+
+def _burnside_count(n):
+    """Isomorphism classes of oriented graphs on n vertices, by Burnside's lemma.
+
+    The count is the mean, over vertex permutations, of the labeled graphs
+    each one fixes. A cycle of the induced action on unordered pairs fixes
+    all three choices (no arc, either direction), or only "no arc" when going
+    once round it brings the pair back reversed.
+    """
+    fixed_total = 0
+    for perm in itertools.permutations(range(n)):
+        fixed = 1
+        seen = set()
+        for pair in itertools.combinations(range(n), 2):
+            if pair in seen:
+                continue
+            u, v = pair
+            while True:
+                seen.add((min(u, v), max(u, v)))
+                u, v = perm[u], perm[v]
+                if {u, v} == set(pair):
+                    break
+            fixed *= 3 if (u, v) == pair else 1
+        fixed_total += fixed
+    assert fixed_total % math.factorial(n) == 0
+    return fixed_total // math.factorial(n)
+
+
+@pytest.mark.parametrize("n", range(ENUMERATION_CAP + 1))
+def test_isomorphism_classes_match_burnside_count(n):
+    class_of, reps = isomorphism_classes(n)
+    assert len(reps) == _burnside_count(n) == A001174[n]
+    assert len(class_of) == count_oriented_graphs(n)
+    # classes are numbered in order of first appearance, each by its least code
+    first = {}
+    for code, c in enumerate(class_of):
+        first.setdefault(c, code)
+    assert list(first.items()) == list(enumerate(reps))
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_every_code_relabels_its_representative(n):
+    class_of, reps = isomorphism_classes(n)
+    perms = list(itertools.permutations(range(n)))
+    for code, c in enumerate(class_of):
+        g = graph_from_code(n, code)
+        rep = graph_from_code(n, reps[c])
+        assert any(relabel(rep, perm) == g for perm in perms)
 
 
 def test_graph_from_code_roundtrip_spotcheck():

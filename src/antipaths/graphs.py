@@ -117,7 +117,13 @@ class OrientedGraph:
 
     def arcs(self) -> list[tuple[int, int]]:
         """All arcs, sorted, so iteration order is deterministic."""
-        return [(u, v) for u in range(self.n) for v in _bits(self._out[u])]
+        arcs = []
+        for u, mask in enumerate(self._out):
+            while mask:  # lowest bit first, so each row comes out sorted
+                low = mask & -mask
+                arcs.append((u, low.bit_length() - 1))
+                mask ^= low
+        return arcs
 
     def copy(self) -> "OrientedGraph":
         g = OrientedGraph(self.n)
@@ -185,8 +191,21 @@ def graph_hash(g: OrientedGraph) -> str:
 
 def _arcs_hash(n: int, arcs: list[tuple[int, int]]) -> str:
     """graph_hash of the graph on n vertices whose sorted arc list is arcs."""
-    text = f"{n}|" + ";".join(f"{u},{v}" for u, v in arcs)
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    return _arcs_text_hash(n, _arcs_text(arcs))
+
+
+def _arcs_text(arcs: Iterable[tuple[int, int]]) -> str:
+    """The hashed text "u,v;u,v;..." of an arc list.
+
+    The texts of consecutive non-empty runs of a list, joined with ";", give
+    the text of the whole list.
+    """
+    return ";".join(f"{u},{v}" for u, v in arcs)
+
+
+def _arcs_text_hash(n: int, text: str) -> str:
+    """_arcs_hash from the _arcs_text of the sorted arc list."""
+    return hashlib.sha256(f"{n}|{text}".encode()).hexdigest()[:16]
 
 
 def parse_edge_list(text: str) -> OrientedGraph:

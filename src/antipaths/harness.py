@@ -11,6 +11,11 @@ stderr summary instead) so that repeated runs are byte-identical.
 `exhaustive-lemmas` still writes one record per labeled graph, but checks
 each isomorphism class once: the lemma fields are computed on the class
 representative, and each labeled record takes them with its own graph fields.
+Those are built from half-code tables, not from a decoded graph: a code splits
+into a low and a high half over disjoint vertex pairs, each half's out-masks
+are decoded once per run, and a table keyed by (vertex, out-mask) holds each
+vertex's arc text and [u, v] pairs. The records of one process share those
+pairs and their class's lists, so they are read-only.
 """
 
 from __future__ import annotations
@@ -29,7 +34,14 @@ from typing import Callable, Iterable
 
 from . import constructions as cons
 from . import oracle
-from .graphs import OrientedGraph, _arcs_hash, read_edge_list, to_dot
+from .graphs import (
+    OrientedGraph,
+    _arcs_hash,
+    _arcs_text,
+    _arcs_text_hash,
+    read_edge_list,
+    to_dot,
+)
 from .rotation import audit_maximality, build_state, improve
 from .witnesses import validate_antipath, witness_arcs
 
@@ -301,13 +313,28 @@ def _lemma_fields(g: OrientedGraph, k_min: int, k_max: int) -> dict:
 
 
 def _exhaustive_trial(params: dict, code: int) -> dict:
-    # in one process, the records of a class share its lists: read them only
+    # in one process, records share the [u, v] pairs of the row table and the
+    # lists of their class: read them only
+    n, rows = params["n"], params["rows"]
+    hi, lo = divmod(code, params["lo_count"])
+    texts = []
+    arcs: list[list[int]] = []
+    for row, lo_mask, hi_mask in zip(rows, params["lo_rows"][lo], params["hi_rows"][hi]):
+        text, pairs = row[lo_mask | hi_mask]
+        if pairs:
+            texts.append(text)
+            arcs += pairs
     return {
         "config": params["echo"],
         "mode": "exhaustive-lemmas",
         "trial": code,
         "sub_seed": None,
-        "graph": _graph_fields(oracle.graph_from_code(params["n"], code)),
+        "graph": {
+            "hash": _arcs_text_hash(n, ";".join(texts)),
+            "n": n,
+            "arc_count": len(arcs),
+            "arcs": arcs,
+        },
         **params["classes"][params["class_of"][code]],
     }
 
@@ -425,14 +452,35 @@ def run_tightness(cfg: ExperimentConfig) -> list[dict]:
 
 
 def run_exhaustive_lemmas(cfg: ExperimentConfig) -> list[dict]:
-    class_of, reps = oracle.isomorphism_classes(cfg.n)
+    n = cfg.n
+    class_of, reps = oracle.isomorphism_classes(n)
+    # code = lo + lo_count * hi, where lo holds the trits of the first h pairs
+    # and hi the rest. The halves cover disjoint pairs, so the out-mask of u in
+    # a code's graph is lo_rows[lo][u] | hi_rows[hi][u].
+    pairs = n * (n - 1) // 2
+    h = pairs // 2
+    lo_count = 3**h
+    heads = [[v for v in range(n) if mask >> v & 1] for mask in range(1 << n)]
     params = {
-        "n": cfg.n,
+        "n": n,
         "echo": cfg.echo(),
         "class_of": class_of,
         "classes": [
-            _lemma_fields(oracle.graph_from_code(cfg.n, rep), cfg.k_min, cfg.k_max)
+            _lemma_fields(oracle.graph_from_code(n, rep), cfg.k_min, cfg.k_max)
             for rep in reps
+        ],
+        "lo_count": lo_count,
+        "lo_rows": [
+            oracle.graph_from_code(n, lo).adjacency_masks()[0] for lo in range(lo_count)
+        ],
+        "hi_rows": [
+            oracle.graph_from_code(n, hi * lo_count).adjacency_masks()[0]
+            for hi in range(3 ** (pairs - h))
+        ],
+        # rows[u][mask]: the arc text and the [u, v] pairs of u's out-mask mask
+        "rows": [
+            [(_arcs_text((u, v) for v in vs), [[u, v] for v in vs]) for vs in heads]
+            for u in range(n)
         ],
     }
     return _map_trials(_exhaustive_trial, params, len(class_of), cfg.jobs)
@@ -472,10 +520,13 @@ def run(cfg: ExperimentConfig) -> list[dict]:
 # record serialization
 
 
+# one encoder for every record and cell: json.dumps would build one per call
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def records_to_json_lines(records: Iterable[dict]) -> str:
-    return "".join(
-        json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in records
-    )
+    encode = _ENCODER.encode
+    return "".join(encode(r) + "\n" for r in records)
 
 
 def records_to_csv(records: list[dict]) -> str:
@@ -486,10 +537,9 @@ def records_to_csv(records: list[dict]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
+    encode = _ENCODER.encode
     for r in records:
-        writer.writerow(
-            [json.dumps(r.get(c), sort_keys=True, separators=(",", ":")) for c in columns]
-        )
+        writer.writerow([encode(r.get(c)) for c in columns])
     return buf.getvalue()
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -17,6 +18,7 @@ from antipaths.harness import (
     records_to_csv,
     records_to_json_lines,
     run,
+    serialize_records,
 )
 from antipaths.witnesses import validate_antipath
 import antipaths.harness as harness
@@ -94,8 +96,6 @@ def test_derive_seed_is_stable():
     assert derive_seed(0, 0) != derive_seed(0, 1)
     assert derive_seed(1, 0) != derive_seed(0, 0)
     # frozen value (first 8 bytes of sha256(b"0:0")): the cross-release contract
-    import hashlib
-
     expected = int.from_bytes(hashlib.sha256(b"0:0").digest()[:8], "big")
     assert expected == 0xAC72368A586A18C1
     assert derive_seed(0, 0) == expected
@@ -151,19 +151,42 @@ def test_exhaustive_holds_across_wide_k_range():
 @pytest.mark.parametrize("n, stride", [(4, 1), (5, 61)])
 def test_exhaustive_records_match_their_own_graph(n, stride):
     # the lemma fields are computed once per isomorphism class, on its
-    # representative; each record must still hold what its own graph gives
+    # representative, and the graph fields from half-code row tables; each
+    # record must still hold what its own graph, decoded through add_arc, gives
     records = records_for(mode="exhaustive-lemmas", n=n, k_min=1, k_max=12)
     assert [r["trial"] for r in records] == list(range(3 ** (n * (n - 1) // 2)))
-    for r in records[::stride]:
+    for r in records:
         g = graph_from_code(n, r["trial"])
-        fields = harness._lemma_fields(g, 1, 12)
-        assert {key: r[key] for key in fields} == fields
         assert r["graph"] == {
             "hash": graph_hash(g),
             "n": n,
             "arc_count": g.arc_count,
             "arcs": [list(arc) for arc in g.arcs()],
         }
+    for r in records[::stride]:
+        fields = harness._lemma_fields(graph_from_code(n, r["trial"]), 1, 12)
+        assert {key: r[key] for key in fields} == fields
+
+
+# sha256 of the exhaustive-lemmas streams at the default k range, pinned from
+# the per-code decoding implementation. n = 0 and 1 have no pair, n = 2 one,
+# and n = 3 an odd number, so both halves of the code split are covered.
+EXHAUSTIVE_STREAM_SHA256 = {
+    (0, "json"): "670702d64edf9ca637d087453d570bf323536891c6f177eff145fc32aa4f7020",
+    (1, "json"): "e2591717c048af5904f90fde94768cde4205aea77f3851f9cc09e139815d8ca1",
+    (2, "json"): "c493c941d423db2a028d4d315672f328ef53f53e70c0f172a180c773c33b0daa",
+    (3, "json"): "859d22d09eb32ba2b33414637ba4fa6b05518bf8b20f2c23fe4026bf788224af",
+    (4, "json"): "6c572e606720a011ef7af330a2c0ba7f8afc26d289e8bd2746af96d5ded3bf0e",
+    (5, "json"): "a88bb80026b5d535a36247055d164cb396fe89668c48147833c9eedffbd270e2",
+    (4, "csv"): "3ea74c5bc9b12acca60d5e730329f6a2c6a67958ead4fb96099bd8624bfd9463",
+}
+
+
+@pytest.mark.parametrize("n, output_format", sorted(EXHAUSTIVE_STREAM_SHA256))
+def test_exhaustive_streams_are_pinned(n, output_format):
+    text = serialize_records(records_for(mode="exhaustive-lemmas", n=n), output_format)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == EXHAUSTIVE_STREAM_SHA256[n, output_format]
 
 
 def test_audit_with_blowup_construction_is_not_a_failure():

@@ -8,6 +8,12 @@ distributed over worker processes; records are merged back in trial order.
 Record streams deliberately contain no wall-clock data (timing goes to the
 stderr summary instead) so that repeated runs are byte-identical.
 
+Each campaign decision has one home here. Defaults live only in
+`ExperimentConfig` and its `validate()`. Constructions live in one table,
+`_CONSTRUCTIONS`, which `verify-theorem` and `audit` sample through (at the
+degree floor unless one is named). Every sampled or built record starts with
+the one header `_record` writes: config, mode, trial, sub_seed, graph, pd, delta.
+
 `exhaustive-lemmas` still writes one record per labeled graph, but checks
 each isomorphism class once: the lemma fields are computed on the class
 representative, and each labeled record takes them with its own graph fields.
@@ -35,6 +41,7 @@ from typing import Callable, Iterable
 from . import constructions as cons
 from . import oracle
 from .graphs import (
+    DegreeProfile,
     OrientedGraph,
     _arcs_hash,
     _arcs_text,
@@ -50,22 +57,23 @@ class ConfigError(ValueError):
     """Bad or incomplete run parameters; maps to exit code 2."""
 
 
-# each construction's parameters, with the type its value must parse as
-_CONSTRUCTION_PARAMS: dict[str, dict[str, type]] = {
-    "cycle-blowup": {"ell": int, "b": int},
-    "random": {"p": float},
-    "random-min-pd": {"d": int},
+# each construction: its builder, called as builder(n, seed, **params), and
+# the type each of its parameters must parse as
+_CONSTRUCTIONS: dict[str, tuple[Callable[..., OrientedGraph], dict[str, type]]] = {
+    "cycle-blowup": (lambda n, seed, ell, b: cons.cycle_blowup(ell, b), {"ell": int, "b": int}),
+    "random": (lambda n, seed, p: cons.random_oriented_graph(n, p, seed), {"p": float}),
+    "random-min-pd": (lambda n, seed, d: cons.random_with_min_pd(n, d, seed), {"d": int}),
 }
 
 
 def parse_construction(text: str) -> tuple[str, dict]:
     """Parse "name" or "name:key=value,key=value" into (name, params)."""
     name, _, rest = text.partition(":")
-    if name not in _CONSTRUCTION_PARAMS:
+    if name not in _CONSTRUCTIONS:
         raise ConfigError(
-            f"unknown construction {name!r}; known: {sorted(_CONSTRUCTION_PARAMS)}"
+            f"unknown construction {name!r}; known: {sorted(_CONSTRUCTIONS)}"
         )
-    types = _CONSTRUCTION_PARAMS[name]
+    types = _CONSTRUCTIONS[name][1]
     params: dict = {}
     if rest:
         for item in rest.split(","):
@@ -76,6 +84,8 @@ def parse_construction(text: str) -> tuple[str, dict]:
                 raise ConfigError(
                     f"construction {name!r} has no parameter {key!r}; known: {sorted(types)}"
                 )
+            if key in params:
+                raise ConfigError(f"construction parameter {key!r} is given twice")
             try:
                 params[key] = types[key](val)
             except ValueError:
@@ -88,13 +98,7 @@ def parse_construction(text: str) -> tuple[str, dict]:
 
 
 def build_construction(name: str, params: dict, n: int, seed: int) -> OrientedGraph:
-    if name == "cycle-blowup":
-        return cons.cycle_blowup(params["ell"], params["b"])
-    if name == "random":
-        return cons.random_oriented_graph(n, params["p"], seed)
-    if name == "random-min-pd":
-        return cons.random_with_min_pd(n, params["d"], seed)
-    raise ConfigError(f"unknown construction {name!r}")
+    return _CONSTRUCTIONS[name][0](n, seed, **params)
 
 
 @dataclass
@@ -114,7 +118,7 @@ class ExperimentConfig:
     jobs: int = 1
 
     def validate(self) -> None:
-        if self.mode not in ("verify-theorem", "tightness", "exhaustive-lemmas", "audit", "search"):
+        if self.mode not in _RUNNERS:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.output_format not in ("json", "csv"):
             raise ConfigError(f"format must be json or csv, got {self.output_format!r}")
@@ -131,8 +135,7 @@ class ExperimentConfig:
                 self.samples = 1000 if self.mode == "verify-theorem" else 500
             if self.samples < 1:
                 raise ConfigError(f"samples must be >= 1, got {self.samples}")
-            needs_floor = self.mode == "verify-theorem" or self.construction is None
-            if needs_floor:
+            if self.mode == "verify-theorem" or self.construction is None:
                 d = cons.integer_threshold(self.k)
                 if self.n < 2 * d + 1:
                     raise ConfigError(
@@ -188,13 +191,27 @@ def derive_seed(master: int, index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _graph_fields(g: OrientedGraph) -> dict:
+def _record(
+    echo: dict, trial: int, sub_seed: int | None, g: OrientedGraph, prof: DegreeProfile,
+    **fields,
+) -> dict:
+    """A record on graph g: the header every sampled or built record starts
+    with, then the mode's own fields."""
     arcs = g.arcs()
     return {
-        "hash": _arcs_hash(g.n, arcs),
-        "n": g.n,
-        "arc_count": g.arc_count,
-        "arcs": [[u, v] for u, v in arcs],
+        "config": echo,
+        "mode": echo["mode"],
+        "trial": trial,
+        "sub_seed": sub_seed,
+        "graph": {
+            "hash": _arcs_hash(g.n, arcs),
+            "n": g.n,
+            "arc_count": g.arc_count,
+            "arcs": [[u, v] for u, v in arcs],
+        },
+        "pd": prof.min_pseudo_semidegree,
+        "delta": prof.min_semidegree,
+        **fields,
     }
 
 
@@ -202,17 +219,22 @@ def _graph_fields(g: OrientedGraph) -> dict:
 # trial workers (top level so they pickle for process pools)
 
 
-def _verify_trial(params: dict, trial: int) -> dict:
-    k, n = params["k"], params["n"]
+def _sample(params: dict, trial: int) -> tuple[int, OrientedGraph]:
+    """The trial's sub-seed and the graph its construction builds from it."""
     sub = derive_seed(params["seed"], trial)
-    g = cons.random_with_min_pd(n, params["floor"], sub)
+    name, cparams = params["construction"]
+    return sub, build_construction(name, cparams, params["n"], sub)
+
+
+def _verify_trial(params: dict, trial: int) -> dict:
+    k = params["k"]
+    sub, g = _sample(params, trial)
     prof = g.degree_profile()
     if k % 2 == 1:
         shapes = [("any", None)]
     else:
         shapes = [("+", True), ("-", False)]
     results = []
-    ok = True
     for label, flag in shapes:
         wit = oracle.contains_antipath_of_length(g, k, flag)
         results.append(
@@ -222,20 +244,8 @@ def _verify_trial(params: dict, trial: int) -> dict:
                 "witness": wit.serialize() if wit else None,
             }
         )
-        if wit is None:
-            ok = False
-    return {
-        "config": params["echo"],
-        "mode": "verify-theorem",
-        "trial": trial,
-        "sub_seed": sub,
-        "graph": _graph_fields(g),
-        "pd": prof.min_pseudo_semidegree,
-        "delta": prof.min_semidegree,
-        "k": k,
-        "shapes": results,
-        "ok": ok,
-    }
+    ok = all(shape["found"] for shape in results)
+    return _record(params["echo"], trial, sub, g, prof, k=k, shapes=results, ok=ok)
 
 
 def _tightness_record(cfg: ExperimentConfig) -> dict:
@@ -246,20 +256,14 @@ def _tightness_record(cfg: ExperimentConfig) -> dict:
     longest = oracle.longest_antipath(g)
     assert longest is not None
     ok = prof.min_pseudo_semidegree == k // 2 and longest.length == k - 1
-    return {
-        "config": cfg.echo(),
-        "mode": "tightness",
-        "trial": 0,
-        "sub_seed": None,
-        "graph": _graph_fields(g),
-        "pd": prof.min_pseudo_semidegree,
-        "delta": prof.min_semidegree,
-        "k": k,
-        "longest_len": longest.length,
-        "witness": longest.serialize(),
-        "checks": {"expected_pd": k // 2, "expected_longest": k - 1},
-        "ok": ok,
-    }
+    return _record(
+        cfg.echo(), 0, None, g, prof,
+        k=k,
+        longest_len=longest.length,
+        witness=longest.serialize(),
+        checks={"expected_pd": k // 2, "expected_longest": k - 1},
+        ok=ok,
+    )
 
 
 def _lemma_fields(g: OrientedGraph, k_min: int, k_max: int) -> dict:
@@ -340,13 +344,8 @@ def _exhaustive_trial(params: dict, code: int) -> dict:
 
 
 def _audit_trial(params: dict, trial: int) -> dict:
-    k, n = params["k"], params["n"]
-    sub = derive_seed(params["seed"], trial)
-    if params["construction"] is not None:
-        name, cparams = params["construction"]
-        g = build_construction(name, cparams, n, sub)
-    else:
-        g = cons.random_with_min_pd(n, params["floor"], sub)
+    k = params["k"]
+    sub, g = _sample(params, trial)
     prof = g.degree_profile()
     pd = prof.min_pseudo_semidegree
     longest = oracle.longest_antipath(g)
@@ -366,23 +365,15 @@ def _audit_trial(params: dict, trial: int) -> dict:
             checks["audit_skipped"] = "even-length longest path"
     short = pd >= params["floor"] and (m is None or m < k)
     checks["below_target_length"] = short
-    if short:
-        ok = False
-    return {
-        "config": params["echo"],
-        "mode": "audit",
-        "trial": trial,
-        "sub_seed": sub,
-        "graph": _graph_fields(g),
-        "pd": pd,
-        "delta": prof.min_semidegree,
-        "k": k,
-        "longest_len": m,
-        "witness": longest.serialize() if longest else None,
-        "audit": audit_dict,
-        "checks": checks,
-        "ok": ok,
-    }
+    return _record(
+        params["echo"], trial, sub, g, prof,
+        k=k,
+        longest_len=m,
+        witness=longest.serialize() if longest else None,
+        audit=audit_dict,
+        checks=checks,
+        ok=ok and not short,
+    )
 
 
 def _search_record(cfg: ExperimentConfig) -> dict:
@@ -399,21 +390,15 @@ def _search_record(cfg: ExperimentConfig) -> dict:
         highlight = witness_arcs(g, longest) if longest else []
         with open(cfg.dot_path, "w", encoding="utf-8") as fh:
             fh.write(to_dot(g, highlight))
-    return {
-        "config": cfg.echo(),
-        "mode": "search",
-        "trial": 0,
-        "sub_seed": None,
-        "graph": _graph_fields(g),
-        "pd": prof.min_pseudo_semidegree,
-        "delta": prof.min_semidegree,
-        "longest_len": longest.length if longest else None,
-        "witness": longest.serialize() if longest else None,
-        "heuristic_len": heuristic.length if heuristic else None,
-        "heuristic_witness": heuristic.serialize() if heuristic else None,
-        "agreement": (heuristic.length == longest.length) if longest else None,
-        "ok": heuristic.length <= longest.length if longest else True,
-    }
+    return _record(
+        cfg.echo(), 0, None, g, prof,
+        longest_len=longest.length if longest else None,
+        witness=longest.serialize() if longest else None,
+        heuristic_len=heuristic.length if heuristic else None,
+        heuristic_witness=heuristic.serialize() if heuristic else None,
+        agreement=(heuristic.length == longest.length) if longest else None,
+        ok=heuristic.length <= longest.length if longest else True,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -436,19 +421,22 @@ def _map_trials(
         return list(pool.map(partial(worker, params), range(count), chunksize=chunk))
 
 
-def run_verify_theorem(cfg: ExperimentConfig) -> list[dict]:
+def _run_sampled(cfg: ExperimentConfig, worker: Callable[[dict, int], dict]) -> list[dict]:
+    """A verify-theorem or audit run: cfg.samples trials of worker."""
+    floor = cons.integer_threshold(cfg.k)
     params = {
         "k": cfg.k,
         "n": cfg.n,
         "seed": cfg.seed,
-        "floor": cons.integer_threshold(cfg.k),
+        "floor": floor,
+        # without a construction, trials sample at the degree floor
+        "construction": (
+            parse_construction(cfg.construction) if cfg.construction
+            else ("random-min-pd", {"d": floor})
+        ),
         "echo": cfg.echo(),
     }
-    return _map_trials(_verify_trial, params, cfg.samples, cfg.jobs)
-
-
-def run_tightness(cfg: ExperimentConfig) -> list[dict]:
-    return [_tightness_record(cfg)]
+    return _map_trials(worker, params, cfg.samples, cfg.jobs)
 
 
 def run_exhaustive_lemmas(cfg: ExperimentConfig) -> list[dict]:
@@ -486,28 +474,12 @@ def run_exhaustive_lemmas(cfg: ExperimentConfig) -> list[dict]:
     return _map_trials(_exhaustive_trial, params, len(class_of), cfg.jobs)
 
 
-def run_audit(cfg: ExperimentConfig) -> list[dict]:
-    params = {
-        "k": cfg.k,
-        "n": cfg.n,
-        "seed": cfg.seed,
-        "floor": cons.integer_threshold(cfg.k),
-        "construction": parse_construction(cfg.construction) if cfg.construction else None,
-        "echo": cfg.echo(),
-    }
-    return _map_trials(_audit_trial, params, cfg.samples, cfg.jobs)
-
-
-def run_search(cfg: ExperimentConfig) -> list[dict]:
-    return [_search_record(cfg)]
-
-
-_RUNNERS = {
-    "verify-theorem": run_verify_theorem,
-    "tightness": run_tightness,
+_RUNNERS: dict[str, Callable[[ExperimentConfig], list[dict]]] = {
+    "verify-theorem": lambda cfg: _run_sampled(cfg, _verify_trial),
+    "tightness": lambda cfg: [_tightness_record(cfg)],
     "exhaustive-lemmas": run_exhaustive_lemmas,
-    "audit": run_audit,
-    "search": run_search,
+    "audit": lambda cfg: _run_sampled(cfg, _audit_trial),
+    "search": lambda cfg: [_search_record(cfg)],
 }
 
 
@@ -558,15 +530,12 @@ def serialize_records(records: list[dict], output_format: str) -> str:
     return records_to_json_lines(records)
 
 
-def execute(cfg: ExperimentConfig, stderr=None) -> int:
+def execute(cfg: ExperimentConfig) -> int:
     """Run, write the stream, print a summary; exit-code semantics.
 
     Returns 0 when every record is ok, 1 otherwise. Config, input and
-    generator problems raise (ConfigError, EdgeListParseError, OSError,
-    UnicodeDecodeError, AttemptsExhaustedError) for the CLI to map to exit
-    code 2.
+    generator problems raise, for the CLI to map to exit code 2.
     """
-    stderr = stderr if stderr is not None else sys.stderr
     started = time.monotonic()
     records = run(cfg)
     text = serialize_records(records, cfg.output_format)
@@ -579,6 +548,6 @@ def execute(cfg: ExperimentConfig, stderr=None) -> int:
     elapsed = time.monotonic() - started
     print(
         f"{cfg.mode}: {len(records)} records, {failures} failures, {elapsed:.1f}s",
-        file=stderr,
+        file=sys.stderr,
     )
     return 0 if failures == 0 else 1

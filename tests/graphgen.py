@@ -56,14 +56,20 @@ def brute_longest_antipath_len(g: OrientedGraph) -> int:
     return max((k for k in range(1, g.n) if brute_antipaths(g, k)), default=0)
 
 
-def brute_longest_anticycle_len(g: OrientedGraph) -> int:
-    """Maximum alternating-cycle length over raw permutations; 0 if none."""
-    best = 0
+def brute_anticycle_lengths(g: OrientedGraph) -> set[int]:
+    """Every alternating-cycle length, over raw permutations."""
+    lengths = set()
     for size in range(4, g.n + 1, 2):
         for seq in itertools.permutations(range(g.n), size):
             try:
                 validate_anticycle(g, seq)
             except WitnessError:
                 continue
-            best = max(best, size)
-    return best
+            lengths.add(size)
+            break
+    return lengths
+
+
+def brute_longest_anticycle_len(g: OrientedGraph) -> int:
+    """Maximum alternating-cycle length over raw permutations; 0 if none."""
+    return max(brute_anticycle_lengths(g), default=0)

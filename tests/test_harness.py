@@ -69,6 +69,7 @@ def run_cli(*args, check=False):
         dict(mode="nonsense"),
         dict(mode="audit", k=4, output_format="xml"),
         dict(mode="audit", k=4, jobs=0),
+        dict(mode="audit", k=4, construction="cycle-blowup:ell=3,b=2,b=3"),
     ],
 )
 def test_config_rejections(kwargs):
@@ -80,6 +81,26 @@ def test_config_defaults():
     cfg = ExperimentConfig(mode="verify-theorem", k=4)
     cfg.validate()
     assert cfg.n == 10 and cfg.samples == 1000
+
+
+@pytest.mark.parametrize(
+    "mode, flags, required",
+    [
+        pytest.param("verify-theorem", ["--k", "4"], dict(k=4), id="verify-theorem"),
+        pytest.param("tightness", ["--k", "4"], dict(k=4), id="tightness"),
+        pytest.param("exhaustive-lemmas", ["--n", "3"], dict(n=3), id="exhaustive-lemmas"),
+        pytest.param("audit", ["--k", "4"], dict(k=4), id="audit"),
+        pytest.param("search", ["--input", "graph.el"], dict(input_path="graph.el"), id="search"),
+    ],
+)
+def test_cli_defaults_are_config_defaults(mode, flags, required):
+    # the parser fills in nothing: every default comes from ExperimentConfig
+    cfg = cli.config_from_args(cli.build_parser().parse_args([mode, *flags]))
+    expected = ExperimentConfig(mode=mode, **required)
+    assert cfg == expected
+    cfg.validate()
+    expected.validate()
+    assert cfg == expected
 
 
 def test_parse_construction():
@@ -182,11 +203,44 @@ EXHAUSTIVE_STREAM_SHA256 = {
 }
 
 
+# sha256 of the streams of the other modes, keyed by their CLI arguments and
+# pinned from the implementation that stated each mode's record fields in full
+STREAM_SHA256 = {
+    ("tightness --k 8", "json"):
+        "9ed9fed0add553525c78616fe4c749b4b8a4a0888e4eedbfe8f4fed7d0bccaee",
+    ("tightness --k 8", "csv"):
+        "0884c71e6cb3873405db23f1914f9f75d2c5a4a961f9aea148ef8a512a40fa4f",
+    ("verify-theorem --k 9 --samples 40 --seed 4", "json"):
+        "1a219dddb62aff6a2462095f9afea7e98cc85c4cbd265501ce41f03dc932ec3b",
+    ("verify-theorem --k 10 --samples 40 --seed 4", "json"):
+        "50d3e3dd4125850f492163be3ef7b07c0d379f79cc7862580d1f52f06ac90d87",
+    ("audit --k 6 --samples 40 --seed 3", "json"):
+        "abbd22be3cdbb32dfe3e560ede21e2af25a516d2546ef76a9a13e01bfdcde20f",
+    ("audit --k 6 --samples 40 --seed 3", "csv"):
+        "03779f72a41e197089112a954c55147a677ef605b371038dc57ee0857870f2cc",
+    ("audit --k 4 --n 6 --samples 3 --construction cycle-blowup:ell=3,b=2", "json"):
+        "ce5366c9da8a04f5f39e14e1401b609d091c3c186c854cc5716c3211549b3655",
+    ("audit --k 5 --samples 20 --seed 2 --construction random:p=0.5", "json"):
+        "80ec47d684d3871a229ce6be4c665fec8a9eaa259e19297c5ba80aace5e5f66d",
+}
+
+
+def stream_sha256(args: str, output_format: str) -> str:
+    """The sha256 of the stream that `antipaths <args> --format <output_format>` writes."""
+    argv = args.split() + ["--format", output_format]
+    cfg = cli.config_from_args(cli.build_parser().parse_args(argv))
+    return hashlib.sha256(serialize_records(run(cfg), output_format).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("n, output_format", sorted(EXHAUSTIVE_STREAM_SHA256))
 def test_exhaustive_streams_are_pinned(n, output_format):
-    text = serialize_records(records_for(mode="exhaustive-lemmas", n=n), output_format)
-    digest = hashlib.sha256(text.encode()).hexdigest()
+    digest = stream_sha256(f"exhaustive-lemmas --n {n}", output_format)
     assert digest == EXHAUSTIVE_STREAM_SHA256[n, output_format]
+
+
+@pytest.mark.parametrize("args, output_format", sorted(STREAM_SHA256))
+def test_streams_are_pinned(args, output_format):
+    assert stream_sha256(args, output_format) == STREAM_SHA256[args, output_format]
 
 
 def test_audit_with_blowup_construction_is_not_a_failure():
@@ -313,7 +367,7 @@ def test_cli_subprocess_streams_json():
 @pytest.mark.parametrize(
     "construction",
     ["random-min-pd:d=9", "random:p=2.0", "cycle-blowup:ell=2,b=2", "random:p=0.5,q=3",
-     "cycle-blowup:ell=3,b=2.5"],
+     "cycle-blowup:ell=3,b=2.5", "cycle-blowup:ell=3,b=2,b=3"],
 )
 def test_cli_construction_errors_exit_2(construction):
     proc = run_cli("audit", "--k", "4", "--samples", "2", "--construction", construction)
@@ -326,7 +380,7 @@ def test_cli_construction_errors_exit_2(construction):
 @pytest.mark.parametrize(
     "case",
     ["verify-floor-unreachable", "audit-floor-unreachable", "input-is-dir", "input-not-utf8",
-     "path-too-deep"],
+     "path-too-deep", "vertices-past-memory", "vertices-past-index", "blowup-past-index"],
 )
 def test_cli_run_errors_exit_2(tmp_path, case):
     not_utf8 = tmp_path / "latin1.el"
@@ -335,6 +389,12 @@ def test_cli_run_errors_exit_2(tmp_path, case):
     deep = tmp_path / "alternating-path.el"
     arcs = [(i, i + 1) if i % 2 == 0 else (i + 1, i) for i in range(1499)]
     deep.write_text(f"1500 {len(arcs)}\n" + "".join(f"{u} {v}\n" for u, v in arcs))
+    # 2^61 vertices fail CPython's list-size check (MemoryError) before any
+    # allocation; 10^19 does not fit an index at all (OverflowError)
+    past_memory = tmp_path / "past-memory.el"
+    past_memory.write_text("2305843009213693952 0\n")
+    past_index = tmp_path / "past-index.el"
+    past_index.write_text("10000000000000000000 0\n")
     args = {
         # the degree floor 3 of k=4 cannot be reached on 7 vertices
         "verify-floor-unreachable": ["verify-theorem", "--k", "4", "--n", "7", "--samples", "2"],
@@ -342,6 +402,11 @@ def test_cli_run_errors_exit_2(tmp_path, case):
         "input-is-dir": ["search", "--input", str(tmp_path)],
         "input-not-utf8": ["search", "--input", str(not_utf8)],
         "path-too-deep": ["search", "--input", str(deep)],
+        "vertices-past-memory": ["search", "--input", str(past_memory)],
+        "vertices-past-index": ["search", "--input", str(past_index)],
+        # raised by the dry build in validate()
+        "blowup-past-index": ["audit", "--k", "4", "--samples", "1",
+                              "--construction", "cycle-blowup:ell=3,b=10000000000000000000"],
     }[case]
     proc = run_cli(*args)
     assert proc.returncode == 2
@@ -349,6 +414,7 @@ def test_cli_run_errors_exit_2(tmp_path, case):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert case != "path-too-deep" or "recursion limit" in lines[0]
+    assert "past" not in case or "too many vertices" in lines[0]
 
 
 def test_cli_search_roundtrip(tmp_path):

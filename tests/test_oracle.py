@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from antipaths import (
     CapExceededError,
@@ -29,6 +29,7 @@ from antipaths import oracle
 from antipaths.oracle import ENUMERATION_CAP, isomorphism_classes
 
 from graphgen import (
+    brute_anticycle_lengths,
     brute_antipaths,
     brute_longest_antipath_len,
     brute_longest_anticycle_len,
@@ -178,12 +179,25 @@ def test_blowup_anticycle_is_four():
 
 @given(oriented_graphs(max_n=6))
 @settings(max_examples=60)
+# random draws rarely hold a 6-anticycle: K_{3,3} oriented one way has lengths
+# {4, 6}, and the alternating hexagon only 6
+@example(OrientedGraph.from_arcs(6, [(u, v) for u in range(3) for v in range(3, 6)]))
+@example(OrientedGraph.from_arcs(6, [(0, 1), (2, 1), (2, 3), (4, 3), (4, 5), (0, 5)]))
 def test_anticycle_matches_brute_force(g):
     w = longest_anticycle(g)
     got = 0 if w is None else w.length
     assert got == brute_longest_anticycle_len(g)
     if w is not None:
         validate_anticycle(g, w.vertices)
+    # the cycle_promotion check of every exhaustive record reads these lengths
+    lengths = brute_anticycle_lengths(g)
+    assert anticycle_lengths(g) == lengths
+    for c in range(4, g.n + 1, 2):
+        wit = has_anticycle_of_length(g, c)
+        assert (wit is not None) == (c in lengths)
+        if wit is not None:
+            assert wit.length == c
+            validate_anticycle(g, wit.vertices)
 
 
 def test_enumeration_counts():

@@ -125,13 +125,6 @@ class OrientedGraph:
                 mask ^= low
         return arcs
 
-    def copy(self) -> "OrientedGraph":
-        g = OrientedGraph(self.n)
-        g._out = self._out.copy()
-        g._in = self._in.copy()
-        g._arc_count = self._arc_count
-        return g
-
     def reverse(self) -> "OrientedGraph":
         """The graph with every arc flipped. An involution."""
         g = OrientedGraph(self.n)

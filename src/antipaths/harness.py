@@ -289,7 +289,8 @@ def _lemma_fields(g: OrientedGraph, k_min: int, k_max: int) -> dict:
         slack = side if slack is None else max(slack, side)
 
     violations = []
-    for k in range(k_min, k_max + 1):
+    # no check can fire once k > 2 * pd, where even the weak floor fails
+    for k in range(k_min, min(k_max, 2 * pd) + 1):
         weak = 2 * pd >= k  # positive-degree floor at least k/2
         strong = 2 * pd > k
         if weak and m < k and m % 2 == 0:

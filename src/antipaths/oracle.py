@@ -16,8 +16,9 @@ alternating walks from the endpoint reach through unvisited vertices
 bound cannot beat the best length found so far, or, when every tie is asked
 for, only when it cannot even match it. The cut subtrees hold no path that
 would be recorded, so answers and their order are those of the full walk.
-The cycle search has its own walker, which bounds by the vertices still
-available.
+Every cycle query reads one walk, `_anticycles`, which records the first
+cycle of each even length and cuts a subtree when no length still missing
+fits in the vertices still available.
 
 Exhaustive checks enumerate labeled graphs by base-3 code. Every lemma they
 check is invariant under relabeling, so `isomorphism_classes` maps each code
@@ -25,7 +26,9 @@ to its isomorphism class, and the searches run once per class representative.
 
 Determinism contract: starts are tried in increasing vertex order and
 candidates in increasing bit order, so the returned witness is the
-lexicographically least vertex sequence among those of maximum length.
+lexicographically least vertex sequence among those of maximum length. A
+cycle witness starts at its least vertex s and is the least of its length
+under the key (s, whether the first arc enters s, the rest of the sequence).
 """
 
 from __future__ import annotations
@@ -186,77 +189,68 @@ def contains_antipath_of_length(
 def longest_anticycle(g: OrientedGraph) -> AnticycleWitness | None:
     """A maximum-length alternating cycle, or None if there is none.
 
-    Cycles are canonicalized by starting at their smallest vertex; the DFS
-    only ever walks to vertices above the start.
+    Cycles are canonicalized by starting at their smallest vertex; of the
+    longest ones, the least in the determinism contract's order is returned.
     """
-    best = _anticycle_search(g, target=None)
-    return validate_anticycle(g, best) if best else None
+    found = _anticycles(g)
+    return validate_anticycle(g, found[max(found)]) if found else None
 
 
 def has_anticycle_of_length(g: OrientedGraph, length: int) -> AnticycleWitness | None:
     """A witness of exactly this length, or None."""
     if length < 4 or length % 2 != 0:
         raise ValueError(f"anticycle length must be even and >= 4, got {length}")
-    best = _anticycle_search(g, target=length)
-    return validate_anticycle(g, best) if best else None
+    seq = _anticycles(g).get(length)
+    return validate_anticycle(g, seq) if seq else None
 
 
 def anticycle_lengths(g: OrientedGraph) -> set[int]:
     """All lengths c for which g contains an alternating cycle of length c."""
-    return {c for c in range(4, g.n + 1, 2) if _anticycle_search(g, target=c)}
+    return set(_anticycles(g))
 
 
-def _anticycle_search(g: OrientedGraph, target: int | None) -> tuple[int, ...] | None:
-    """Shared walker: longest cycle if target is None, else exact length."""
+def _anticycles(g: OrientedGraph) -> dict[int, tuple[int, ...]]:
+    """{c: the first cycle of length c the walk meets}, for every length c of g.
+
+    Sequences are walked in the order of the module's determinism contract. A
+    subtree is cut when no missing length fits in the vertices left above the
+    start, so the walk ends once every even length up to n is found.
+    """
     n = g.n
-    if n < 4 or g.arc_count == 0:
-        return None
     out_m, in_m = g.adjacency_masks()
-    best_len = 3 if target is None else target - 1
-    best_seq: tuple[int, ...] | None = None
+    # bit c is set while no cycle of even length c >= 4 has been found
+    missing = sum(1 << c for c in range(4, n + 1, 2))
+    found: dict[int, tuple[int, ...]] = {}
     seq = [0] * n
 
-    def extend(u: int, depth: int, visited: int, source_now: bool, above: int) -> bool:
+    def extend(u: int, depth: int, visited: int, source_now: bool, above: int) -> None:
         # depth = vertices placed; u = seq[depth-1]; source_now = role of u
-        nonlocal best_len, best_seq
+        nonlocal missing
         start = seq[0]
-        # close the cycle: needs an even vertex count >= 4 and the wrap arc
-        if depth >= 4 and depth % 2 == 0 and depth > best_len:
+        # close the cycle: needs a missing length and the wrap arc
+        if missing >> depth & 1:
             closed = g.has_arc(u, start) if source_now else g.has_arc(start, u)
             if closed:
-                best_len = depth
-                best_seq = tuple(seq[:depth])
-                if target is not None:
-                    return True
+                missing ^= 1 << depth
+                found[depth] = tuple(seq[:depth])
         remaining = (above & ~visited).bit_count()
-        if depth + remaining <= best_len:
-            return False
-        if target is not None and depth >= target:
-            return False
+        if not missing >> (depth + 1) & ((1 << remaining) - 1):
+            return
         cand = (out_m[u] if source_now else in_m[u]) & ~visited & above
         while cand:
             bit = cand & -cand
             cand ^= bit
             w = bit.bit_length() - 1
             seq[depth] = w
-            if extend(w, depth + 1, visited | bit, not source_now, above):
-                return True
-        return False
+            extend(w, depth + 1, visited | bit, not source_now, above)
 
-    full = (1 << n) - 1
+    # a cycle needs 3 vertices above its start
     for s in range(n - 3):
-        above = full & ~((1 << (s + 1)) - 1)
+        above = (1 << n) - (2 << s)  # the vertices above s
         seq[0] = s
-        for source_first in (True, False):
-            cand = (out_m[s] if source_first else in_m[s]) & above
-            while cand:
-                bit = cand & -cand
-                cand ^= bit
-                w = bit.bit_length() - 1
-                seq[1] = w
-                if extend(w, 2, (1 << s) | bit, not source_first, above):
-                    return best_seq
-    return best_seq
+        extend(s, 1, 1 << s, True, above)
+        extend(s, 1, 1 << s, False, above)
+    return found
 
 
 def count_oriented_graphs(n: int) -> int:

@@ -435,13 +435,9 @@ class AuditReport:
     head_fanout: dict
 
     @property
-    def openings_ok(self) -> bool:
-        return not self.extension_openings
-
-    @property
     def consistent(self) -> bool:
         return (
-            self.openings_ok
+            not self.extension_openings
             and not self.window_overloads
             and not self.last_vertex_feedback
             and self.head_fanout["upper_ok"]

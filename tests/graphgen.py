@@ -56,20 +56,25 @@ def brute_longest_antipath_len(g: OrientedGraph) -> int:
     return max((k for k in range(1, g.n) if brute_antipaths(g, k)), default=0)
 
 
-def brute_anticycle_lengths(g: OrientedGraph) -> set[int]:
-    """Every alternating-cycle length, over raw permutations."""
-    lengths = set()
+def brute_first_anticycles(g: OrientedGraph) -> dict[int, tuple[int, ...]]:
+    """For each alternating-cycle length, the least cycle of that length.
+
+    Raw permutations that start at their least vertex and pass the validator
+    are compared under the key (first vertex, whether the first arc enters the
+    first vertex, the rest of the sequence): forward-first traversals come
+    before backward-first ones from the same start.
+    """
+    first: dict[int, tuple[int, ...]] = {}
     for size in range(4, g.n + 1, 2):
-        for seq in itertools.permutations(range(g.n), size):
-            try:
-                validate_anticycle(g, seq)
-            except WitnessError:
-                continue
-            lengths.add(size)
-            break
-    return lengths
-
-
-def brute_longest_anticycle_len(g: OrientedGraph) -> int:
-    """Maximum alternating-cycle length over raw permutations; 0 if none."""
-    return max(brute_anticycle_lengths(g), default=0)
+        cycles = []
+        for s in range(g.n):
+            for rest in itertools.permutations(range(s + 1, g.n), size - 1):
+                try:
+                    cycles.append(validate_anticycle(g, (s, *rest)).vertices)
+                except WitnessError:
+                    continue
+        if cycles:
+            first[size] = min(
+                cycles, key=lambda seq: (seq[0], not g.has_arc(seq[0], seq[1]), seq[1:])
+            )
+    return first

@@ -172,11 +172,3 @@ def test_graph_hash_stable_and_discriminating():
     assert len(graph_hash(g)) == 16
     other = OrientedGraph.from_arcs(6, g.arcs()[:-1])
     assert graph_hash(other) != graph_hash(g)
-
-
-def test_copy_is_independent():
-    g = OrientedGraph.from_arcs(3, [(0, 1)])
-    h = g.copy()
-    h.add_arc(2, 1)
-    assert g.arc_count == 1 and h.arc_count == 2
-    assert not g.has_arc(2, 1)

@@ -169,6 +169,15 @@ def test_exhaustive_holds_across_wide_k_range():
     assert all(not r["violations"] for r in records)
 
 
+def test_exhaustive_k_max_beyond_every_floor_costs_nothing():
+    # no check can fire once k > 2 * pd (pd <= 3 at n = 4), so the loop stops
+    # there: a huge k_max is fast and gives the records of k_max = 12
+    huge = records_for(mode="exhaustive-lemmas", n=4, k_min=1, k_max=10**9)
+    small = records_for(mode="exhaustive-lemmas", n=4, k_min=1, k_max=12)
+    assert all(r["config"]["k_max"] == 10**9 for r in huge)
+    assert [{**r, "config": None} for r in huge] == [{**r, "config": None} for r in small]
+
+
 @pytest.mark.parametrize("n, stride", [(4, 1), (5, 61)])
 def test_exhaustive_records_match_their_own_graph(n, stride):
     # the lemma fields are computed once per isomorphism class, on its

@@ -29,10 +29,10 @@ from antipaths import oracle
 from antipaths.oracle import ENUMERATION_CAP, isomorphism_classes
 
 from graphgen import (
-    brute_anticycle_lengths,
     brute_antipaths,
+    brute_first_anticycles,
     brute_longest_antipath_len,
-    brute_longest_anticycle_len,
+    graph_from_trits,
     oriented_graphs,
 )
 
@@ -184,20 +184,43 @@ def test_blowup_anticycle_is_four():
 @example(OrientedGraph.from_arcs(6, [(u, v) for u in range(3) for v in range(3, 6)]))
 @example(OrientedGraph.from_arcs(6, [(0, 1), (2, 1), (2, 3), (4, 3), (4, 5), (0, 5)]))
 def test_anticycle_matches_brute_force(g):
+    _check_anticycles(g)
+
+
+def test_anticycle_witnesses_on_fixed_corpus():
+    # every labeled graph on at most 4 vertices, then random ones on 5..8
+    for n in range(5):
+        for trits in itertools.product(range(3), repeat=n * (n - 1) // 2):
+            _check_anticycles(graph_from_trits(n, list(trits)))
+    for s in range(150):
+        _check_anticycles(random_oriented_graph(5 + s % 4, 0.5, s))
+
+
+def _check_anticycles(g):
+    # witnesses are the least cycles in the order of brute_first_anticycles
+    first = brute_first_anticycles(g)
     w = longest_anticycle(g)
     got = 0 if w is None else w.length
-    assert got == brute_longest_anticycle_len(g)
+    assert got == max(first, default=0)
     if w is not None:
         validate_anticycle(g, w.vertices)
+        assert w.vertices == first[got]
     # the cycle_promotion check of every exhaustive record reads these lengths
-    lengths = brute_anticycle_lengths(g)
-    assert anticycle_lengths(g) == lengths
+    assert anticycle_lengths(g) == set(first)
     for c in range(4, g.n + 1, 2):
         wit = has_anticycle_of_length(g, c)
-        assert (wit is not None) == (c in lengths)
+        assert (wit is not None) == (c in first)
         if wit is not None:
             assert wit.length == c
             validate_anticycle(g, wit.vertices)
+            assert wit.vertices == first[c]
+
+
+@pytest.mark.parametrize("length", [-4, 0, 2, 3, 5])
+def test_has_anticycle_of_length_rejects_bad_lengths(length):
+    g = cycle_blowup(3, 2)
+    with pytest.raises(ValueError):
+        has_anticycle_of_length(g, length)
 
 
 def test_enumeration_counts():

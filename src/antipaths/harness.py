@@ -22,6 +22,15 @@ into a low and a high half over disjoint vertex pairs, each half's out-masks
 are decoded once per run, and a table keyed by (vertex, out-mask) holds each
 vertex's arc text and [u, v] pairs. The records of one process share those
 pairs and their class's lists, so they are read-only.
+
+Their JSON lines are built from text encoded once per run, too. Each class
+holds its line's text around a record's own values (arc count, arcs, hash
+and trial), cut from `_ENCODER`'s text of the class's record with a
+placeholder for each of them, and each row also holds the JSON of its pairs.
+So a line is one concatenation. Each record is a `_Record`: a dict that
+carries the line `_ENCODER` would write for it, which `records_to_json_lines`
+writes as it is. The line is read-only like the shared lists, and a record
+pickles with it, so pool workers send it back.
 """
 
 from __future__ import annotations
@@ -317,31 +326,50 @@ def _lemma_fields(g: OrientedGraph, k_min: int, k_max: int) -> dict:
     }
 
 
-def _exhaustive_trial(params: dict, code: int) -> dict:
+class _Record(dict):
+    """A record that carries, in `line`, the JSON line `_ENCODER` writes for it.
+
+    The line is built with the record, so it is read-only: a changed field
+    would not show in the stream.
+    """
+
+    __slots__ = ("line",)
+
+
+def _exhaustive_record(echo: dict, trial: int | str, graph: dict, fields: dict) -> dict:
+    """The fields of an exhaustive-lemmas record, for its dict and its line."""
+    return {
+        "config": echo,
+        "mode": "exhaustive-lemmas",
+        "trial": trial,
+        "sub_seed": None,
+        "graph": graph,
+        **fields,
+    }
+
+
+def _exhaustive_trial(params: dict, code: int) -> _Record:
     # in one process, records share the [u, v] pairs of the row table and the
     # lists of their class: read them only
     n, rows = params["n"], params["rows"]
     hi, lo = divmod(code, params["lo_count"])
     texts = []
     arcs: list[list[int]] = []
+    arcs_json = []
     for row, lo_mask, hi_mask in zip(rows, params["lo_rows"][lo], params["hi_rows"][hi]):
-        text, pairs = row[lo_mask | hi_mask]
+        text, pairs, pairs_json = row[lo_mask | hi_mask]
         if pairs:
             texts.append(text)
             arcs += pairs
-    return {
-        "config": params["echo"],
-        "mode": "exhaustive-lemmas",
-        "trial": code,
-        "sub_seed": None,
-        "graph": {
-            "hash": _arcs_text_hash(n, ";".join(texts)),
-            "n": n,
-            "arc_count": len(arcs),
-            "arcs": arcs,
-        },
-        **params["classes"][params["class_of"][code]],
-    }
+            arcs_json.append(pairs_json)
+    graph_hash = _arcs_text_hash(n, ";".join(texts))
+    fields, head, to_arcs, to_hash, to_trial, tail = params["classes"][params["class_of"][code]]
+    graph = {"hash": graph_hash, "n": n, "arc_count": len(arcs), "arcs": arcs}
+    record = _Record(_exhaustive_record(params["echo"], code, graph, fields))
+    record.line = (
+        f"{head}{len(arcs)}{to_arcs}{','.join(arcs_json)}{to_hash}{graph_hash}{to_trial}{code}{tail}"
+    )
+    return record
 
 
 def _audit_trial(params: dict, trial: int) -> dict:
@@ -442,6 +470,7 @@ def _run_sampled(cfg: ExperimentConfig, worker: Callable[[dict, int], dict]) -> 
 
 def run_exhaustive_lemmas(cfg: ExperimentConfig) -> list[dict]:
     n = cfg.n
+    echo = cfg.echo()
     class_of, reps = oracle.isomorphism_classes(n)
     # code = lo + lo_count * hi, where lo holds the trits of the first h pairs
     # and hi the rest. The halves cover disjoint pairs, so the out-mask of u in
@@ -450,14 +479,32 @@ def run_exhaustive_lemmas(cfg: ExperimentConfig) -> list[dict]:
     h = pairs // 2
     lo_count = 3**h
     heads = [[v for v in range(n) if mask >> v & 1] for mask in range(1 << n)]
+
+    # A record's line is its class's text around the record's own values. That
+    # text is cut from _ENCODER's text of a class record holding a placeholder
+    # for each own value ("\0" occurs in no record), at each placeholder's text.
+    own = ("arc_count", "arcs", "hash", "trial")  # in the order of their text
+    hole = {key: "\0" + key for key in own}
+    graph = {"hash": hole["hash"], "n": n, "arc_count": hole["arc_count"], "arcs": [hole["arcs"]]}
+    marks = [_ENCODER.encode(hole[key]) for key in own]
+    # the hash's quotes stay in the text: it is hex digits, which JSON keeps as is
+    marks[2] = marks[2][1:-1]
+    classes = []
+    for rep in reps:
+        fields = _lemma_fields(oracle.graph_from_code(n, rep), cfg.k_min, cfg.k_max)
+        rest = _ENCODER.encode(_exhaustive_record(echo, hole["trial"], graph, fields))
+        pieces = []
+        for mark in marks:  # unpacking fails unless each mark occurs once, in order
+            piece, rest = rest.split(mark)
+            pieces.append(piece)
+        classes.append((fields, *pieces, rest + "\n"))
     params = {
         "n": n,
-        "echo": cfg.echo(),
+        "echo": echo,
         "class_of": class_of,
-        "classes": [
-            _lemma_fields(oracle.graph_from_code(n, rep), cfg.k_min, cfg.k_max)
-            for rep in reps
-        ],
+        # per class: its lemma fields, then its line's text before the arc
+        # count, before the arcs, before the hash, before the trial and after it
+        "classes": classes,
         "lo_count": lo_count,
         "lo_rows": [
             oracle.graph_from_code(n, lo).adjacency_masks()[0] for lo in range(lo_count)
@@ -466,9 +513,17 @@ def run_exhaustive_lemmas(cfg: ExperimentConfig) -> list[dict]:
             oracle.graph_from_code(n, hi * lo_count).adjacency_masks()[0]
             for hi in range(3 ** (pairs - h))
         ],
-        # rows[u][mask]: the arc text and the [u, v] pairs of u's out-mask mask
+        # rows[u][mask]: the arc text, the [u, v] pairs and their JSON (without
+        # the list's brackets) of u's out-mask mask
         "rows": [
-            [(_arcs_text((u, v) for v in vs), [[u, v] for v in vs]) for vs in heads]
+            [
+                (
+                    _arcs_text((u, v) for v in vs),
+                    (out_arcs := [[u, v] for v in vs]),
+                    _ENCODER.encode(out_arcs)[1:-1],
+                )
+                for vs in heads
+            ]
             for u in range(n)
         ],
     }
@@ -498,8 +553,13 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def records_to_json_lines(records: Iterable[dict]) -> str:
+    """One compact, key-sorted JSON line per record.
+
+    A record that carries its line (a `_Record`) is written as that line;
+    any other record is encoded here.
+    """
     encode = _ENCODER.encode
-    return "".join(encode(r) + "\n" for r in records)
+    return "".join(getattr(r, "line", None) or encode(r) + "\n" for r in records)
 
 
 def records_to_csv(records: list[dict]) -> str:

@@ -200,6 +200,8 @@ def has_anticycle_of_length(g: OrientedGraph, length: int) -> AnticycleWitness |
     """A witness of exactly this length, or None."""
     if length < 4 or length % 2 != 0:
         raise ValueError(f"anticycle length must be even and >= 4, got {length}")
+    if length > g.n:
+        return None
     seq = _anticycles(g).get(length)
     return validate_anticycle(g, seq) if seq else None
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -178,6 +179,14 @@ def test_exhaustive_k_max_beyond_every_floor_costs_nothing():
     assert [{**r, "config": None} for r in huge] == [{**r, "config": None} for r in small]
 
 
+def assert_lines_are_the_encoding(records):
+    # every record carries the line _ENCODER writes for its fields, and the
+    # stream is the same whether the serializer reads those lines or not
+    plain = records_to_json_lines([dict(r) for r in records])
+    assert [r.line for r in records] == plain.splitlines(keepends=True)
+    assert records_to_json_lines(records) == plain
+
+
 @pytest.mark.parametrize("n, stride", [(4, 1), (5, 61)])
 def test_exhaustive_records_match_their_own_graph(n, stride):
     # the lemma fields are computed once per isomorphism class, on its
@@ -185,6 +194,7 @@ def test_exhaustive_records_match_their_own_graph(n, stride):
     # record must still hold what its own graph, decoded through add_arc, gives
     records = records_for(mode="exhaustive-lemmas", n=n, k_min=1, k_max=12)
     assert [r["trial"] for r in records] == list(range(3 ** (n * (n - 1) // 2)))
+    assert_lines_are_the_encoding(records)
     for r in records:
         g = graph_from_code(n, r["trial"])
         assert r["graph"] == {
@@ -196,6 +206,24 @@ def test_exhaustive_records_match_their_own_graph(n, stride):
     for r in records[::stride]:
         fields = harness._lemma_fields(graph_from_code(n, r["trial"]), 1, 12)
         assert {key: r[key] for key in fields} == fields
+
+
+# n = 5 is checked at k 1..12 in test_exhaustive_records_match_their_own_graph,
+# and at the default k range by its stream's pin, which joins the lines it carries
+@pytest.mark.parametrize(
+    "n, k_min, k_max", [(n, 4, 10) for n in range(5)] + [(n, 1, 12) for n in range(5)]
+)
+def test_exhaustive_lines_are_the_encoding(n, k_min, k_max):
+    assert_lines_are_the_encoding(
+        records_for(mode="exhaustive-lemmas", n=n, k_min=k_min, k_max=k_max)
+    )
+
+
+def test_exhaustive_lines_survive_pickling():
+    # a pool sends records back to the parent process pickled
+    records = records_for(mode="exhaustive-lemmas", n=4)
+    assert_lines_are_the_encoding(pickle.loads(pickle.dumps(records)))
+    assert_lines_are_the_encoding(records_for(mode="exhaustive-lemmas", n=4, jobs=2))
 
 
 # sha256 of the exhaustive-lemmas streams at the default k range, pinned from

@@ -223,6 +223,19 @@ def test_has_anticycle_of_length_rejects_bad_lengths(length):
         has_anticycle_of_length(g, length)
 
 
+def test_has_anticycle_of_length_above_n_skips_the_walk(monkeypatch):
+    # no cycle is longer than the vertex count, so the query answers at once
+    def no_walk(g):
+        raise AssertionError("walked for a length above n")
+
+    monkeypatch.setattr(oracle, "_anticycles", no_walk)
+    g = cycle_blowup(3, 2)
+    assert has_anticycle_of_length(g, 8) is None
+    assert has_anticycle_of_length(g, 100) is None
+    with pytest.raises(ValueError):
+        has_anticycle_of_length(g, 7)
+
+
 def test_enumeration_counts():
     assert count_oriented_graphs(2) == 3
     assert count_oriented_graphs(4) == 729

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 
-from .graphs import OrientedGraph, enumerate_pairs
+from .graphs import OrientedGraph
 
 
 class AttemptsExhaustedError(RuntimeError):
@@ -72,20 +72,32 @@ def random_oriented_graph(n: int, p: float, seed: int) -> OrientedGraph:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability must be in [0, 1], got {p}")
-    rng = random.Random(seed)
-    g = OrientedGraph(n)
-    for u, v in enumerate_pairs(n):
-        if rng.random() < p:
-            if rng.random() < 0.5:
-                g.add_arc(u, v)
-            else:
-                g.add_arc(v, u)
-    return g
+    draw = random.Random(seed).random
+    out = [0] * n
+    in_ = [0] * n
+    bits = [1 << v for v in range(n)]
+    for u in range(n):
+        # row u's own bits gather in locals; pairs (w, u), w < u, are already in
+        out_u = in_u = 0
+        bit_u = bits[u]
+        for v in range(u + 1, n):
+            if draw() < p:
+                if draw() < 0.5:
+                    out_u |= bits[v]
+                    in_[v] |= bit_u
+                else:
+                    in_u |= bits[v]
+                    out[v] |= bit_u
+        out[u] |= out_u
+        in_[u] |= in_u
+    return OrientedGraph._from_masks(out, in_)
 
 
-def random_with_min_pd(
-    n: int, d: int, seed: int, max_attempts: int = 64
-) -> OrientedGraph:
+# densities tried by random_with_min_pd before AttemptsExhaustedError
+MAX_ATTEMPTS = 64
+
+
+def random_with_min_pd(n: int, d: int, seed: int) -> OrientedGraph:
     """A random-looking graph whose every positive degree is at least d.
 
     Strategy: sample random_oriented_graph at escalating densities; then
@@ -100,37 +112,46 @@ def random_with_min_pd(
         raise ValueError(f"need n >= 2d+1 = {2 * d + 1} vertices, got {n}")
     rng = random.Random(seed)
     base_p = min(1.0, 2.0 * (d + 1) / (n - 1))
-    for attempt in range(max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         p = min(1.0, base_p + 0.05 * attempt)
         g = random_oriented_graph(n, p, rng.randrange(2**63))
-        if _repair_pd(g, d, rng) and g.degree_profile().min_pseudo_semidegree >= d:
+        # after a repair every positive degree is >= d, so pd < d means no arcs
+        if _repair_pd(g, d, rng) and g.arc_count > 0:
             return g
     raise AttemptsExhaustedError(
         f"could not reach positive-degree floor {d} on {n} vertices "
-        f"in {max_attempts} attempts"
+        f"in {MAX_ATTEMPTS} attempts"
     )
 
 
 def _repair_pd(g: OrientedGraph, d: int, rng: random.Random) -> bool:
-    """Add arcs until no vertex has a positive degree below d. False if stuck."""
+    """Add arcs until no vertex has a positive degree below d. False if stuck.
+
+    Each step repairs the least deficient vertex v, its out-side first, with
+    an arc to a vertex w drawn uniformly from v's non-neighbors in increasing
+    order. Only v and w change, so the next scan starts at min(v, w).
+    """
+    out, in_ = g.adjacency_masks()
+    full = (1 << g.n) - 1
+    v = 0
     while True:
-        deficient = None
-        for v in range(g.n):
-            if 0 < g.out_degree(v) < d:
-                deficient = (v, True)
+        for v in range(v, g.n):
+            if 0 < out[v].bit_count() < d:
+                out_side = True
                 break
-            if 0 < g.in_degree(v) < d:
-                deficient = (v, False)
+            if 0 < in_[v].bit_count() < d:
+                out_side = False
                 break
-        if deficient is None:
+        else:
             return True
-        v, out_side = deficient
-        linked = g.out_neighbors(v) | g.in_neighbors(v)
-        free = [w for w in range(g.n) if w != v and w not in linked]
+        free = full & ~(out[v] | in_[v] | 1 << v)
         if not free:
             return False
-        w = free[rng.randrange(len(free))]
+        for _ in range(rng.randrange(free.bit_count())):
+            free &= free - 1  # drop the lowest set bit
+        w = (free & -free).bit_length() - 1
         if out_side:
             g.add_arc(v, w)
         else:
             g.add_arc(w, v)
+        v = min(v, w)

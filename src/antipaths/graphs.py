@@ -7,8 +7,10 @@ means w is a neighbor). Those masks are the only adjacency representation:
 membership is a shift, degrees are bit counts, and the exact search in
 `oracle` walks the stored masks directly.
 
-Graphs are built by arc insertion and treated as immutable afterwards; every
-search routine in this package only reads them.
+Graphs are built by arc insertion, or all at once from finished mask lists
+by the private `OrientedGraph._from_masks` (the random generator and
+`reverse` use it), and treated as immutable afterwards; every search routine
+in this package only reads them.
 """
 
 from __future__ import annotations
@@ -82,6 +84,20 @@ class OrientedGraph:
             g.add_arc(u, v)
         return g
 
+    @classmethod
+    def _from_masks(cls, out: list[int], in_: list[int]) -> "OrientedGraph":
+        """The graph whose out- and in-mask lists are out and in_, taken as its own.
+
+        Nothing is checked: callers must pass the masks of an oriented graph
+        (no loops, no 2-cycles, in_ the transpose of out) and not keep them.
+        """
+        g = cls.__new__(cls)
+        g.n = len(out)
+        g._out = out
+        g._in = in_
+        g._arc_count = sum([m.bit_count() for m in out])
+        return g
+
     @property
     def arc_count(self) -> int:
         return self._arc_count
@@ -127,11 +143,7 @@ class OrientedGraph:
 
     def reverse(self) -> "OrientedGraph":
         """The graph with every arc flipped. An involution."""
-        g = OrientedGraph(self.n)
-        g._out = self._in.copy()
-        g._in = self._out.copy()
-        g._arc_count = self._arc_count
-        return g
+        return OrientedGraph._from_masks(self._in.copy(), self._out.copy())
 
     def degree_profile(self) -> DegreeProfile:
         """Always recomputed from the adjacency masks, never patched."""

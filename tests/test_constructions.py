@@ -2,8 +2,11 @@ import math
 
 import pytest
 
+import graphgen
 from antipaths import (
     AttemptsExhaustedError,
+    OrientedGraph,
+    constructions,
     contains_antipath_of_length,
     cycle_blowup,
     integer_threshold,
@@ -125,6 +128,90 @@ def test_min_pd_determinism():
     assert random_with_min_pd(10, 3, 77) == random_with_min_pd(10, 3, 77)
 
 
-def test_min_pd_attempt_budget():
+def test_min_pd_attempt_budget(monkeypatch):
+    monkeypatch.setattr(constructions, "MAX_ATTEMPTS", 0)
     with pytest.raises(AttemptsExhaustedError):
-        random_with_min_pd(9, 3, 0, max_attempts=0)
+        random_with_min_pd(9, 3, 0)
+
+
+def _outcome(make, *args):
+    """The masks and arc count of make(*args), or the exhaustion message."""
+    try:
+        g = make(*args)
+    except AttemptsExhaustedError as exc:
+        return str(exc)
+    out, in_ = g.adjacency_masks()
+    return out.copy(), in_.copy(), g.arc_count
+
+
+def _transpose(out: list[int]) -> list[int]:
+    in_ = [0] * len(out)
+    for u, mask in enumerate(out):
+        for v in range(len(out)):
+            if mask >> v & 1:
+                in_[v] |= 1 << u
+    return in_
+
+
+def _check_against_reference(make, reference, *args):
+    got = _outcome(make, *args)
+    assert got == _outcome(reference, *args), args
+    if not isinstance(got, str):
+        out, in_, _ = got
+        assert in_ == _transpose(out), args
+    return got
+
+
+def test_min_pd_matches_reference_generator():
+    # n = 2d+1 exhausts on many seeds, so the grid covers both outcomes
+    outcomes = set()
+    for d in range(1, 7):
+        for n in (2 * d + 1, 2 * d + 2, 2 * d + 3, 3 * d, 2 * d + 8):
+            for seed in range(40):
+                got = _check_against_reference(
+                    random_with_min_pd, graphgen.ref_random_with_min_pd, n, d, seed)
+                outcomes.add(isinstance(got, str))
+    assert outcomes == {False, True}
+
+
+def test_random_graph_matches_reference_generator():
+    for n in (0, 1, 2, 5, 9, 14):
+        for p in (0.0, 0.3, 0.77, 1.0):
+            for seed in range(20):
+                _check_against_reference(
+                    random_oriented_graph, graphgen.ref_random_oriented_graph, n, p, seed)
+
+
+def _count_calls(monkeypatch, module, name) -> list[tuple]:
+    """Wrap module.name so that each call's arguments are recorded."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_min_pd_attempt_loop_calls_the_module_generator(monkeypatch):
+    # an arcless draw repairs trivially, so only the arc-count check rejects it
+    calls = []
+
+    def arcless(n, p, seed):
+        calls.append(p)
+        return OrientedGraph(n)
+
+    monkeypatch.setattr(constructions, "random_oriented_graph", arcless)
+    with pytest.raises(AttemptsExhaustedError, match="in 64 attempts"):
+        random_with_min_pd(9, 3, 0)
+    assert len(calls) == 64
+
+
+def test_min_pd_attempts_match_reference(monkeypatch):
+    calls = _count_calls(monkeypatch, constructions, "random_oriented_graph")
+    ref_calls = _count_calls(monkeypatch, graphgen, "ref_random_oriented_graph")
+    g = random_with_min_pd(9, 3, 2)  # 34 attempts
+    assert g == graphgen.ref_random_with_min_pd(9, 3, 2)
+    assert len(calls) > 1 and calls == ref_calls

@@ -2,8 +2,9 @@
 
 Core pieces: the oriented-graph type with its two degree statistics, witness
 validation for alternating paths and cycles, an exact backtracking oracle,
-the rotation/insertion move engine with its maximality audit, extremal and
-random constructions, and a campaign harness behind the `antipaths` CLI.
+the rotation/insertion move engine (public through `build_state`, `improve`,
+`audit_maximality` and `endpoint_chord_exists`), extremal and random
+constructions, and a campaign harness behind the `antipaths` CLI.
 """
 
 from .constructions import (
@@ -45,20 +46,11 @@ from .rotation import (
     AuditReport,
     EvenLengthPathError,
     ExtensionOpening,
-    MissingArcError,
-    MoveKind,
-    MoveOutcome,
     RotationState,
     audit_maximality,
     build_state,
     endpoint_chord_exists,
-    endpoint_swaps,
-    extend_via_odd_chords,
-    extend_via_pivot_chord,
     improve,
-    rotate_end,
-    rotate_start,
-    step_move,
 )
 from .witnesses import (
     AlternationBrokenError,

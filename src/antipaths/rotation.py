@@ -3,8 +3,8 @@
 All machinery here operates on an odd-length alternating path written so that
 its first arc leaves the first vertex. In that normal form the vertices at
 even positions all emit and the vertices at odd positions all absorb, so every
-path arc runs from the even side to the odd side, and the moves below preserve
-that form:
+path arc runs from the even side to the odd side. One private enumerator per
+move yields the sequences it reaches, and each keeps that form:
 
   * rotations reorder the traversal using a chord from an endpoint, keeping
     the vertex set fixed;
@@ -13,17 +13,20 @@ that form:
   * the two-vertex insertions splice a pair of head candidates into the path
     around an even "pivot" position, lengthening it by exactly one arc.
 
-On a genuinely longest path no lengthening move can exist. The audit walks
-every insertion precondition and several arc-counting bounds; anything it
+Two campaigns read these enumerators: `improve` chains them into a
+lengthening heuristic, and `audit_maximality` runs the insertion enumerator
+and several arc-counting bounds on a path asserted to be longest. On a
+genuinely longest path no lengthening move can exist; anything the audit
 finds is reported as data (with the explicit longer path it constructs), not
 raised, because a violation only means the input path was not maximal.
+`endpoint_chord_exists` walks the rotations for the chord the theorem's
+proof needs.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterator
 
 from .graphs import OrientedGraph
@@ -37,47 +40,18 @@ class EvenLengthPathError(ValueError):
     """The rotation machinery is defined only for odd-length paths."""
 
 
-class MissingArcError(ValueError):
-    """A move's precondition arc is absent; carries the arc endpoints."""
-
-    def __init__(self, u: int, v: int):
-        super().__init__(f"missing arc ({u}, {v})")
-        self.u = u
-        self.v = v
-
-
-class MoveKind(Enum):
-    SAME_LENGTH = "same-length"
-    EXTENSION = "length-plus-one"
-    NO_MOVE = "no-move"
-
-
-@dataclass(frozen=True)
-class MoveOutcome:
-    kind: MoveKind
-    result: AntipathWitness
-
-
 @dataclass(frozen=True)
 class RotationState:
-    """A validated path in forward normal form, with its position sides.
+    """A validated path in forward normal form, with its head candidates.
 
-    even_positions / odd_positions are the emitting and absorbing vertex
-    sets; every rotation keeps them. head_candidates are the in-neighbors of
-    the second vertex lying outside the path's tail (positions 2..m); each of
-    them can replace the first vertex. Nothing here depends on the rotation
-    closure: the moves that need it walk it on demand.
+    head_candidates are the in-neighbors of the second vertex lying outside
+    the path's tail (positions 2..m); each of them can replace the first
+    vertex.
     """
 
     host: OrientedGraph
     path: AntipathWitness
-    even_positions: frozenset[int]
-    odd_positions: frozenset[int]
     head_candidates: frozenset[int]
-
-    @property
-    def length(self) -> int:
-        return self.path.length
 
 
 def _head_candidates(g: OrientedGraph, seq: tuple[int, ...]) -> list[int]:
@@ -85,7 +59,7 @@ def _head_candidates(g: OrientedGraph, seq: tuple[int, ...]) -> list[int]:
 
 
 def build_state(g: OrientedGraph, path: AntipathWitness) -> RotationState:
-    """Validate, normalize to a forward first arc, and derive the sets.
+    """Validate, normalize to a forward first arc, and find the head candidates.
 
     The witness is revalidated against the host (directions are never taken
     on trust) and reversed if its first arc points backward; for odd lengths
@@ -100,8 +74,6 @@ def build_state(g: OrientedGraph, path: AntipathWitness) -> RotationState:
     return RotationState(
         host=g,
         path=wit,
-        even_positions=frozenset(seq[0::2]),
-        odd_positions=frozenset(seq[1::2]),
         head_candidates=frozenset(_head_candidates(g, seq)),
     )
 
@@ -118,40 +90,6 @@ def _rotate_start_seq(seq: tuple[int, ...], i: int) -> tuple[int, ...]:
 def _rotate_end_seq(seq: tuple[int, ...], i: int) -> tuple[int, ...]:
     # chord (seq[2i], last): reverse the suffix after position 2i
     return seq[: 2 * i + 1] + tuple(reversed(seq[2 * i + 1 :]))
-
-
-def rotate_start(st: RotationState, i: int) -> MoveOutcome:
-    """Same-length reorder using the chord from the first vertex to seq[2i+1].
-
-    The new traversal is seq[2i], ..., seq[0], seq[2i+1], ..., seq[m]: the
-    vertex set is unchanged and the second vertex becomes seq[2i-1].
-    """
-    m = st.path.length
-    if not 1 <= i <= (m - 1) // 2:
-        raise ValueError(f"need 0 < i < m/2, got i={i} for m={m}")
-    seq = st.path.vertices
-    if not st.host.has_arc(seq[0], seq[2 * i + 1]):
-        raise MissingArcError(seq[0], seq[2 * i + 1])
-    return MoveOutcome(
-        MoveKind.SAME_LENGTH, validate_antipath(st.host, _rotate_start_seq(seq, i))
-    )
-
-
-def rotate_end(st: RotationState, i: int) -> MoveOutcome:
-    """Mirror rotation using the chord from seq[2i] to the last vertex.
-
-    i ranges over 0..(m-3)/2; i = (m-1)/2 would use the path's own last arc
-    and reproduce the input, so it is excluded.
-    """
-    m = st.path.length
-    if not 0 <= i <= (m - 3) // 2:
-        raise ValueError(f"need 0 <= i <= (m-3)/2, got i={i} for m={m}")
-    seq = st.path.vertices
-    if not st.host.has_arc(seq[2 * i], seq[m]):
-        raise MissingArcError(seq[2 * i], seq[m])
-    return MoveOutcome(
-        MoveKind.SAME_LENGTH, validate_antipath(st.host, _rotate_end_seq(seq, i))
-    )
 
 
 def _rotations(g: OrientedGraph, seq: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -224,19 +162,6 @@ def _swap_successors(g: OrientedGraph, seq: tuple[int, ...]) -> list[tuple[int, 
     return succ
 
 
-def endpoint_swaps(st: RotationState) -> list[MoveOutcome]:
-    """All same-length paths reachable by exchanging one endpoint.
-
-    Two families: tail pushes (require the chord from the second vertex to
-    the last) and head replacements (always available for off-path
-    in-neighbors of the second vertex). Empty list when neither applies.
-    """
-    return [
-        MoveOutcome(MoveKind.SAME_LENGTH, validate_antipath(st.host, s))
-        for s in _swap_successors(st.host, st.path.vertices)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # two-vertex insertions (length + 1)
 
@@ -267,47 +192,6 @@ def _odd_chords_seq(seq: tuple[int, ...], v: int, w: int, i: int) -> tuple[int, 
     return (seq[2 * i], v) + seq[1 : 2 * i] + (w,) + seq[2 * i + 1 :]
 
 
-def _check_insertion(st: RotationState, v: int, w: int, i: int, chord_end: int) -> None:
-    """Argument guards, then the two shared arcs and the chord (w, seq[chord_end])."""
-    m = st.path.length
-    if not 1 <= i <= (m - 1) // 2:
-        raise ValueError(f"need 0 < i < m/2, got i={i} for m={m}")
-    if v == w:
-        raise ValueError("need two distinct head candidates")
-    if v not in st.head_candidates or w not in st.head_candidates:
-        raise ValueError(f"{v} and {w} must both be head candidates")
-    seq = st.path.vertices
-    for a, b in ((v, seq[2 * i]), (w, seq[2 * i + 1]), (w, seq[chord_end])):
-        if not st.host.has_arc(a, b):
-            raise MissingArcError(a, b)
-
-
-def extend_via_pivot_chord(st: RotationState, v: int, w: int, i: int) -> MoveOutcome:
-    """Lengthen by one using arcs (v, seq[2i]), (w, seq[2i+1]), (w, seq[2i]).
-
-    The new path reverses the prefix and sandwiches the pivot seq[2i] between
-    the two inserted vertices:
-
-        seq[2i-1] ... seq[1]  v  seq[2i]  w  seq[2i+1] ... seq[m]
-    """
-    _check_insertion(st, v, w, i, 2 * i)
-    new = _pivot_chord_seq(st.path.vertices, v, w, i)
-    return MoveOutcome(MoveKind.EXTENSION, validate_antipath(st.host, new))
-
-
-def extend_via_odd_chords(st: RotationState, v: int, w: int, i: int) -> MoveOutcome:
-    """Lengthen by one using arcs (v, seq[2i]), (w, seq[2i+1]), (w, seq[2i-1]).
-
-    w bridges the two odd positions around the pivot, which is promoted to
-    the new head:
-
-        seq[2i]  v  seq[1] ... seq[2i-1]  w  seq[2i+1] ... seq[m]
-    """
-    _check_insertion(st, v, w, i, 2 * i - 1)
-    new = _odd_chords_seq(st.path.vertices, v, w, i)
-    return MoveOutcome(MoveKind.EXTENSION, validate_antipath(st.host, new))
-
-
 # ---------------------------------------------------------------------------
 # heuristic improvement loop
 
@@ -331,25 +215,23 @@ def _endpoint_extension(g: OrientedGraph, wit: AntipathWitness) -> AntipathWitne
     return validate_antipath(g, min(candidates))
 
 
-def _forward_seq_moves(g: OrientedGraph, seq: tuple[int, ...]) -> MoveOutcome | None:
+def _forward_seq_moves(g: OrientedGraph, seq: tuple[int, ...]) -> AntipathWitness | None:
     """Swap-then-extend and both insertions, on one forward-first sequence."""
     for swapped in _swap_successors(g, seq):
         ext = _endpoint_extension(g, AntipathWitness(swapped, True))
         if ext is not None:
-            return MoveOutcome(MoveKind.EXTENSION, ext)
+            return ext
     head = _head_candidates(g, seq)
     for v, w, i in _insertions(g, seq, head):
         if g.has_arc(w, seq[2 * i]):
-            new = _pivot_chord_seq(seq, v, w, i)
-            return MoveOutcome(MoveKind.EXTENSION, validate_antipath(g, new))
+            return validate_antipath(g, _pivot_chord_seq(seq, v, w, i))
     for v, w, i in _insertions(g, seq, head):
         if g.has_arc(w, seq[2 * i - 1]):
-            new = _odd_chords_seq(seq, v, w, i)
-            return MoveOutcome(MoveKind.EXTENSION, validate_antipath(g, new))
+            return validate_antipath(g, _odd_chords_seq(seq, v, w, i))
     return None
 
 
-def _lengthening_move(g: OrientedGraph, wit: AntipathWitness) -> MoveOutcome | None:
+def _lengthening_move(g: OrientedGraph, wit: AntipathWitness) -> AntipathWitness | None:
     """One lengthening step, cheapest move first.
 
     Order: direct endpoint extension; then, on the path and on each path its
@@ -360,18 +242,19 @@ def _lengthening_move(g: OrientedGraph, wit: AntipathWitness) -> MoveOutcome | N
     """
     ext = _endpoint_extension(g, wit)
     if ext is not None:
-        return MoveOutcome(MoveKind.EXTENSION, ext)
+        return ext
     if wit.length % 2 == 0:
         return None
     seq = wit.vertices if wit.start_forward else tuple(reversed(wit.vertices))
     for cur in _rotations(g, seq):
-        # on seq itself this finds nothing: wit is the same path
-        ext = _endpoint_extension(g, AntipathWitness(cur, True))
+        # the first sequence is seq itself: wit, the same path, did not extend
+        if cur is not seq:
+            ext = _endpoint_extension(g, AntipathWitness(cur, True))
+            if ext is not None:
+                return ext
+        ext = _forward_seq_moves(g, cur)
         if ext is not None:
-            return MoveOutcome(MoveKind.EXTENSION, ext)
-        res = _forward_seq_moves(g, cur)
-        if res is not None:
-            return res
+            return ext
     return None
 
 
@@ -384,18 +267,10 @@ def improve(g: OrientedGraph, path: AntipathWitness) -> AntipathWitness:
     """
     current = validate_antipath(g, path.vertices)
     while True:
-        step = _lengthening_move(g, current)
-        if step is None:
+        longer = _lengthening_move(g, current)
+        if longer is None:
             return current
-        current = step.result
-
-
-def step_move(g: OrientedGraph, path: AntipathWitness) -> MoveOutcome:
-    """Single improvement step; NO_MOVE with the input path when stuck."""
-    step = _lengthening_move(g, validate_antipath(g, path.vertices))
-    if step is None:
-        return MoveOutcome(MoveKind.NO_MOVE, path)
-    return step
+        current = longer
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +281,10 @@ def step_move(g: OrientedGraph, path: AntipathWitness) -> MoveOutcome:
 class ExtensionOpening:
     """A two-vertex insertion whose preconditions all hold.
 
-    On a longest path none can exist, since firing it yields the recorded
-    longer path.
+    pivot is the index i of the insertion, not a vertex: the pivot vertex is
+    path[2i] (the audit JSON field "pivot" holds the same index). On a longest
+    path no opening can exist, since firing it yields the recorded longer
+    path.
     """
 
     v: int

@@ -11,7 +11,6 @@ import time
 import pytest
 
 from antipaths import (
-    MoveKind,
     OrientedGraph,
     audit_maximality,
     build_state,
@@ -22,12 +21,10 @@ from antipaths import (
     longest_antipath,
     longest_anticycle,
     random_oriented_graph,
-    rotate_end,
-    rotate_start,
     validate_antipath,
 )
 from antipaths.harness import ExperimentConfig, records_to_json_lines, run
-from antipaths.rotation import RotationState, endpoint_swaps, extend_via_odd_chords, extend_via_pivot_chord
+from antipaths.rotation import _insertions, _odd_chords_seq, _pivot_chord_seq, _rotations, _swap_successors
 
 from test_rotation import planted_opening_fixture
 
@@ -176,50 +173,30 @@ def test_criterion_5_move_soundness():
         oracle_len = longest_antipath(g).length
 
         if path.length % 2 == 1:
+            # every move the engine enumerates, on the forward form of path
             st = build_state(g, path)
-            m = st.length
-            for i in range(1, (m - 1) // 2 + 1):
-                if st.host.has_arc(st.path.vertices[0], st.path.vertices[2 * i + 1]):
-                    out = rotate_start(st, i)
-                    assert out.kind is MoveKind.SAME_LENGTH
-                    assert set(out.result.vertices) == set(st.path.vertices)
-                    validate_antipath(g, out.result.vertices)
-                    counts["rotation"] += 1
-                    trials += 1
-            for i in range((m - 1) // 2):
-                if st.host.has_arc(st.path.vertices[2 * i], st.path.vertices[m]):
-                    out = rotate_end(st, i)
-                    assert set(out.result.vertices) == set(st.path.vertices)
-                    validate_antipath(g, out.result.vertices)
-                    counts["rotation"] += 1
-                    trials += 1
-            for out in endpoint_swaps(st):
-                assert out.result.length == m
-                validate_antipath(g, out.result.vertices)
+            seq = st.path.vertices
+            m = st.path.length
+            rotated = list(_rotations(g, seq))
+            assert rotated[0] == seq
+            for s in rotated[1:]:
+                assert set(s) == set(seq)
+                assert validate_antipath(g, s).length == m
+                counts["rotation"] += 1
+                trials += 1
+            for s in _swap_successors(g, seq):
+                assert validate_antipath(g, s).length == m
                 counts["swap"] += 1
                 trials += 1
-            seq = st.path.vertices
-            head = sorted(st.head_candidates)
-            for i in range(1, (m - 1) // 2 + 1):
-                for v in head:
-                    if not g.has_arc(v, seq[2 * i]):
+            for v, w, i in _insertions(g, seq, sorted(st.head_candidates)):
+                for build, chord in ((_odd_chords_seq, seq[2 * i - 1]), (_pivot_chord_seq, seq[2 * i])):
+                    if not g.has_arc(w, chord):
                         continue
-                    for w in head:
-                        if w == v or not g.has_arc(w, seq[2 * i + 1]):
-                            continue
-                        for fn, chord in (
-                            (extend_via_odd_chords, seq[2 * i - 1]),
-                            (extend_via_pivot_chord, seq[2 * i]),
-                        ):
-                            if not g.has_arc(w, chord):
-                                continue
-                            out = fn(st, v, w, i)
-                            assert out.kind is MoveKind.EXTENSION
-                            assert out.result.length == m + 1
-                            assert set(out.result.vertices) == set(seq[1:]) | {v, w}
-                            validate_antipath(g, out.result.vertices)
-                            counts["insertion"] += 1
-                            trials += 1
+                    out = validate_antipath(g, build(seq, v, w, i))
+                    assert out.length == m + 1
+                    assert set(out.vertices) == set(seq[1:]) | {v, w}
+                    counts["insertion"] += 1
+                    trials += 1
 
         improved = improve(g, path)
         validate_antipath(g, improved.vertices)

@@ -25,6 +25,8 @@ from antipaths.witnesses import validate_antipath
 import antipaths.harness as harness
 import antipaths.cli as cli
 
+from test_rotation import planted_opening_fixture
+
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -278,6 +280,39 @@ def test_exhaustive_streams_are_pinned(n, output_format):
 @pytest.mark.parametrize("args, output_format", sorted(STREAM_SHA256))
 def test_streams_are_pinned(args, output_format):
     assert stream_sha256(args, output_format) == STREAM_SHA256[args, output_format]
+
+
+# `search` seeds `improve` with the first arc; on each graph the climb needs
+# the named move. The planted opening is reached by endpoint extensions alone.
+SEARCH_GRAPHS = {
+    "rotation": OrientedGraph.from_arcs(5, [(0, 1), (2, 1), (2, 3), (0, 3), (2, 4)]),
+    "planted-opening": planted_opening_fixture(5, 2, "before")[0],
+    "swap": OrientedGraph.from_arcs(7, [(2, 1), (4, 0), (4, 1), (5, 2), (6, 1), (6, 3)]),
+    "insertion": OrientedGraph.from_arcs(8, [
+        (0, 1), (0, 4), (1, 5), (3, 0), (3, 2), (3, 5), (4, 1), (4, 3),
+        (4, 6), (5, 0), (5, 4), (6, 3), (6, 5), (7, 1), (7, 3), (7, 6),
+    ]),
+}
+
+# sha256 of `search --input graph.el` on each graph, pinned before the
+# checked public move wrappers were deleted
+SEARCH_STREAM_SHA256 = {
+    "rotation":
+        "d1586f3437a3c36d56d849e70212b04efddc79bd87d48725152e8ec4535e1445",
+    "planted-opening":
+        "016efe5952a764f5f8553e3ef48ff718dba857e6b300009267ef1f6c411d843c",
+    "swap":
+        "467bf30f22f34cea8878449f7dab2ae78a2995847ab17d55ccc0f6d8cd588edd",
+    "insertion":
+        "a970d80f540d89219ed853951129d73ed37453c3ebbe1ec8a05c8c5c3057ff62",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_GRAPHS))
+def test_search_streams_are_pinned(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the record echoes the input path
+    Path("graph.el").write_text(format_edge_list(SEARCH_GRAPHS[name]))
+    assert stream_sha256("search --input graph.el", "json") == SEARCH_STREAM_SHA256[name]
 
 
 def test_audit_with_blowup_construction_is_not_a_failure():

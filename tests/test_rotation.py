@@ -5,8 +5,6 @@ import pytest
 import antipaths.rotation as rotation
 from antipaths import (
     EvenLengthPathError,
-    MissingArcError,
-    MoveKind,
     OrientedGraph,
     all_longest_antipaths,
     audit_maximality,
@@ -14,16 +12,10 @@ from antipaths import (
     contains_antipath_of_length,
     cycle_blowup,
     endpoint_chord_exists,
-    endpoint_swaps,
     enumerate_oriented_graphs,
-    extend_via_odd_chords,
-    extend_via_pivot_chord,
     improve,
     longest_antipath,
     random_oriented_graph,
-    rotate_end,
-    rotate_start,
-    step_move,
     validate_antipath,
 )
 
@@ -42,26 +34,48 @@ def rotations_of(st):
     return list(rotation._rotations(st.host, st.path.vertices))
 
 
-def public_closure(st):
-    """Every sequence rotate_start / rotate_end reach from st's path."""
+def swaps_of(st):
+    return rotation._swap_successors(st.host, st.path.vertices)
+
+
+def chord_closure(st):
+    """Every sequence the two chord reversals reach from st's path, depth first.
+
+    A chord from the first vertex to position 2i+1 reverses the prefix up to
+    position 2i; a chord from position 2i to the last vertex reverses the
+    suffix after it.
+    """
+    g = st.host
     seen = {st.path.vertices}
-    stack = [st]
+    stack = [st.path.vertices]
     while stack:
         cur = stack.pop()
-        m = cur.length
-        moves = [(rotate_start, i) for i in range(1, (m - 1) // 2 + 1)]
-        moves += [(rotate_end, i) for i in range((m - 3) // 2 + 1)]
-        for move, i in moves:
-            try:
-                out = move(cur, i).result
-            except MissingArcError:
-                continue
-            if out.vertices not in seen:
-                seen.add(out.vertices)
-                nxt = build_state(cur.host, out)
-                assert nxt.path == out  # rotations stay in forward normal form
+        m = len(cur) - 1
+        reached = [
+            cur[2 * i :: -1] + cur[2 * i + 1 :]
+            for i in range(1, (m - 1) // 2 + 1)
+            if g.has_arc(cur[0], cur[2 * i + 1])
+        ] + [
+            cur[: 2 * i + 1] + cur[: 2 * i : -1]
+            for i in range((m - 1) // 2)
+            if g.has_arc(cur[2 * i], cur[m])
+        ]
+        for nxt in reached:
+            if nxt not in seen:
+                assert validate_antipath(g, nxt).start_forward  # forward normal form kept
+                seen.add(nxt)
                 stack.append(nxt)
     return seen
+
+
+def opening_path(m, i, flavor):
+    """The planted opening's fixture path, inserted pair, and the longer path
+    the audit builds for it."""
+    g, seq, v, w = planted_opening_fixture(m, i, flavor)
+    chord = "before-pivot" if flavor == "before" else "onto-pivot"
+    report = audit_maximality(state_on(g, seq), m + 1)
+    (hit,) = [o for o in report.extension_openings if (o.v, o.w, o.pivot, o.chord) == (v, w, i, chord)]
+    return g, seq, v, w, hit.longer_path
 
 
 def path_arcs_for(seq):
@@ -102,9 +116,9 @@ def planted_opening_fixture(m, i, flavor):
 
 def test_build_state_positions():
     st = state_on(chord_host(), [0, 1, 2, 3])
-    assert st.even_positions == {0, 2}
-    assert st.odd_positions == {1, 3}
-    assert st.length == 3
+    assert st.path.vertices == (0, 1, 2, 3) and st.path.start_forward
+    assert st.path.length == 3
+    assert st.head_candidates == {0}
 
 
 def test_build_state_head_candidates():
@@ -116,7 +130,7 @@ def test_build_state_head_candidates():
 def test_build_state_on_blowup_longest():
     g = cycle_blowup(3, 2)
     st = build_state(g, longest_antipath(g))
-    assert st.length == 3
+    assert st.path.length == 3
     reached = rotations_of(st)
     assert {s[1] for s in reached} == {2, 3} and {s[-2] for s in reached} == {0, 1}
     assert len(reached) == 4
@@ -139,44 +153,24 @@ def test_build_state_normalizes_backward_first_arc():
 
 
 def test_rotate_start_formula():
+    # the chord (0, 3) reverses the prefix up to position 2
     st = state_on(chord_host(), [0, 1, 2, 3])
-    out = rotate_start(st, 1)
-    assert out.kind is MoveKind.SAME_LENGTH
-    assert out.result.vertices == (2, 1, 0, 3)
+    assert rotations_of(st)[1] == (2, 1, 0, 3)
 
 
 def test_rotate_end_formula():
+    # the chord (0, 3) also reverses the suffix after position 0
     st = state_on(chord_host(), [0, 1, 2, 3])
-    out = rotate_end(st, 0)
-    assert out.result.vertices == (0, 3, 2, 1)
+    assert rotations_of(st)[2] == (0, 3, 2, 1)
 
 
 def test_rotations_preserve_vertex_set_and_sides():
     st = state_on(chord_host(), [0, 1, 2, 3])
-    for out in (rotate_start(st, 1), rotate_end(st, 0)):
-        assert set(out.result.vertices) == set(st.path.vertices)
+    for s in rotations_of(st):
+        assert set(s) == set(st.path.vertices)
         # arcs still run from the original even-position set to the odd one
-        assert set(out.result.vertices[0::2]) == st.even_positions
-        assert out.result.start_forward
-
-
-def test_rotate_missing_arc():
-    g = OrientedGraph.from_arcs(4, [(0, 1), (2, 1), (2, 3)])  # no chord
-    st = state_on(g, [0, 1, 2, 3])
-    with pytest.raises(MissingArcError):
-        rotate_start(st, 1)
-    with pytest.raises(MissingArcError):
-        rotate_end(st, 0)
-
-
-def test_rotate_index_ranges():
-    st = state_on(chord_host(), [0, 1, 2, 3])
-    with pytest.raises(ValueError):
-        rotate_start(st, 0)
-    with pytest.raises(ValueError):
-        rotate_start(st, 2)
-    with pytest.raises(ValueError):
-        rotate_end(st, 1)  # i = (m-1)/2 would reproduce the path
+        assert set(s[0::2]) == set(st.path.vertices[0::2])
+        assert validate_antipath(st.host, s).start_forward
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +196,7 @@ def test_closure_cap_truncates_and_reports(monkeypatch):
     reached = rotations_of(st)
     assert len(reached) == 2
     assert reached[0] == st.path.vertices
-    assert set(reached) < public_closure(st)
+    assert set(reached) < chord_closure(st)
 
 
 def odd_longest_states():
@@ -234,10 +228,10 @@ def test_rotations_match_public_closure():
         reached = rotations_of(st)
         assert reached[0] == st.path.vertices
         assert len(set(reached)) == len(reached)
-        assert set(reached) == public_closure(st)
+        assert set(reached) == chord_closure(st)
         for s in reached:
-            assert set(s[0::2]) == st.even_positions
-            assert set(s[1::2]) == st.odd_positions
+            assert set(s[0::2]) == set(st.path.vertices[0::2])
+            assert set(s[1::2]) == set(st.path.vertices[1::2])
         assert endpoint_chord_exists(st) == chord_in(st, reached)
         checked += 1
     assert checked > 1000
@@ -273,31 +267,29 @@ def test_endpoint_chord_cases():
 def test_tail_push_swap():
     g = OrientedGraph.from_arcs(5, [(0, 1), (2, 1), (2, 3), (1, 3), (1, 4)])
     st = state_on(g, [0, 1, 2, 3])
-    outs = [m.result.vertices for m in endpoint_swaps(st)]
-    assert (2, 3, 1, 4) in outs
+    assert (2, 3, 1, 4) in swaps_of(st)
 
 
 def test_head_replacement_swap():
     g = OrientedGraph.from_arcs(5, [(0, 1), (2, 1), (2, 3), (4, 1)])
     st = state_on(g, [0, 1, 2, 3])
-    outs = [m.result.vertices for m in endpoint_swaps(st)]
-    assert outs == [(4, 1, 2, 3)]
+    assert swaps_of(st) == [(4, 1, 2, 3)]
 
 
 def test_no_tail_chord_no_tail_pushes():
     g = OrientedGraph.from_arcs(5, [(0, 1), (2, 1), (2, 3), (1, 4)])
     st = state_on(g, [0, 1, 2, 3])
     # 1 -> 4 exists but the chord (1, 3) is missing, so no tail push appears
-    assert all(m.result.vertices[-2] != 1 for m in endpoint_swaps(st))
+    assert all(s[-2] != 1 for s in swaps_of(st))
 
 
 def test_swaps_keep_length_and_validate():
     g = OrientedGraph.from_arcs(5, [(0, 1), (2, 1), (2, 3), (1, 3), (1, 4), (4, 3)])
     st = state_on(g, [0, 1, 2, 3])
-    for m in endpoint_swaps(st):
-        assert m.kind is MoveKind.SAME_LENGTH
-        assert m.result.length == st.length
-        validate_antipath(g, m.result.vertices)
+    for s in swaps_of(st):
+        out = validate_antipath(g, s)
+        assert out.length == st.path.length
+        assert out.start_forward
 
 
 # ---------------------------------------------------------------------------
@@ -305,51 +297,24 @@ def test_swaps_keep_length_and_validate():
 
 
 def test_odd_chords_extension():
-    g, seq, v, w = planted_opening_fixture(3, 1, "before")
-    st = state_on(g, seq)
-    out = extend_via_odd_chords(st, v, w, 1)
-    assert out.kind is MoveKind.EXTENSION
-    assert out.result.length == 4
-    assert out.result.vertices == (2, 4, 1, 5, 3)
-    assert set(out.result.vertices) == set(seq[1:]) | {v, w}
+    g, seq, v, w, out = opening_path(3, 1, "before")
+    assert out.length == 4
+    assert out.vertices == (2, 4, 1, 5, 3)
+    assert set(out.vertices) == set(seq[1:]) | {v, w}
 
 
 def test_pivot_chord_extension():
-    g, seq, v, w = planted_opening_fixture(3, 1, "onto")
-    st = state_on(g, seq)
-    out = extend_via_pivot_chord(st, v, w, 1)
-    assert out.result.length == 4
-    assert out.result.vertices == (1, 4, 2, 5, 3)
-    assert set(out.result.vertices) == set(seq[1:]) | {v, w}
+    g, seq, v, w, out = opening_path(3, 1, "onto")
+    assert out.length == 4
+    assert out.vertices == (1, 4, 2, 5, 3)
+    assert set(out.vertices) == set(seq[1:]) | {v, w}
 
 
 def test_extensions_on_longer_paths():
     for m, i, flavor in [(5, 1, "before"), (5, 2, "onto"), (7, 3, "before"), (9, 2, "onto")]:
-        g, seq, v, w = planted_opening_fixture(m, i, flavor)
-        st = state_on(g, seq)
-        fn = extend_via_odd_chords if flavor == "before" else extend_via_pivot_chord
-        out = fn(st, v, w, i)
-        assert out.result.length == m + 1
-        assert set(out.result.vertices) == set(seq[1:]) | {v, w}
-
-
-def test_extension_missing_arc_is_named():
-    g, seq, v, w = planted_opening_fixture(3, 1, "before")
-    st = state_on(g, seq)
-    with pytest.raises(MissingArcError) as err:
-        extend_via_pivot_chord(st, v, w, 1)  # the onto-pivot chord is absent
-    assert (err.value.u, err.value.v) == (w, seq[2])
-
-
-def test_extension_argument_guards():
-    g, seq, v, w = planted_opening_fixture(3, 1, "before")
-    st = state_on(g, seq)
-    with pytest.raises(ValueError):
-        extend_via_odd_chords(st, v, v, 1)
-    with pytest.raises(ValueError):
-        extend_via_odd_chords(st, v, w, 0)
-    with pytest.raises(ValueError):
-        extend_via_odd_chords(st, v, 99 % g.n, 1)
+        g, seq, v, w, out = opening_path(m, i, flavor)
+        assert out.length == m + 1
+        assert set(out.vertices) == set(seq[1:]) | {v, w}
 
 
 # ---------------------------------------------------------------------------
@@ -367,14 +332,6 @@ def test_improve_keeps_optimal_path():
     g = cycle_blowup(3, 2)
     best = longest_antipath(g)
     assert improve(g, best).length == best.length
-
-
-def test_step_move_reports_no_move_when_stuck():
-    g = cycle_blowup(3, 2)
-    best = longest_antipath(g)
-    out = step_move(g, best)
-    assert out.kind is MoveKind.NO_MOVE
-    assert out.result == best
 
 
 def test_improve_never_beats_oracle_and_is_idempotent():
@@ -419,9 +376,9 @@ def test_audit_flags_planted_openings():
         assert hits, f"no {chord} opening reported"
         for o in hits:
             validate_antipath(g, o.longer_path.vertices)
-            assert o.longer_path.length == st.length + 1
+            assert o.longer_path.length == st.path.length + 1
         # an opening certifies the input was not maximal; the oracle agrees
-        assert longest_antipath(g).length > st.length
+        assert longest_antipath(g).length > st.path.length
 
 
 def test_audit_clean_on_oracle_longest_over_all_n4_graphs():
@@ -477,8 +434,8 @@ def test_randomized_move_soundness():
             continue
         st = build_state(g, w)
         assert not audit_maximality(st, 4).extension_openings
-        for m in endpoint_swaps(st):
-            assert m.result.length == st.length
-        k = st.length
+        for s in swaps_of(st):
+            assert validate_antipath(g, s).length == st.path.length
+        k = st.path.length
         probe = contains_antipath_of_length(g, k + 1)
         assert probe is None  # the oracle agrees nothing longer exists

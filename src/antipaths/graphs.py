@@ -16,8 +16,8 @@ in this package only reads them.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
 
 
 class GraphError(ValueError):

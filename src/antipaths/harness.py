@@ -1,9 +1,9 @@
 """Campaign orchestration: configs, trial workers, and record streams.
 
-A run is a list of trials, each producing one JSON-serializable record dict.
-Trials draw their own sub-seed from (master seed, trial index) via SHA-256,
-so a run is bit-reproducible for a given config regardless of how trials are
-distributed over worker processes; records are merged back in trial order.
+A run is a list of trials, each producing one JSON-serializable record dict
+from its own sub-seed, drawn from (master seed, trial index) via SHA-256. So
+a config's stream is bit-identical for any worker count; records are merged
+back in trial order. Only a run with two or more workers imports a pool.
 
 Record streams deliberately contain no wall-clock data (timing goes to the
 stderr summary instead) so that repeated runs are byte-identical.
@@ -42,10 +42,9 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable
 
 from . import constructions as cons
 from . import oracle
@@ -385,7 +384,7 @@ def _audit_trial(params: dict, trial: int) -> dict:
     if longest is not None:
         m = longest.length
         if m % 2 == 1:
-            report = audit_maximality(build_state(g, longest), k)
+            report = audit_maximality(build_state(g, longest), k, pd)
             audit_dict = report.to_json_dict()
             if report.extension_openings:
                 # an opening on an exact-search longest path is impossible
@@ -445,6 +444,7 @@ def _map_trials(
     workers = min(jobs, os.cpu_count() or 1, count)
     if workers <= 1:
         return [worker(params, t) for t in range(count)]
+    from concurrent.futures import ProcessPoolExecutor  # here, so one-worker runs never load it
     chunk = max(1, count // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(partial(worker, params), range(count), chunksize=chunk))

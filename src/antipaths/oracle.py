@@ -34,7 +34,7 @@ under the key (s, whether the first arc enters s, the rest of the sequence).
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
+from collections.abc import Iterator
 
 from .graphs import OrientedGraph, enumerate_pairs
 from .witnesses import (

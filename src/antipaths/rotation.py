@@ -26,8 +26,8 @@ proof needs.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Iterator
 
 from .graphs import OrientedGraph
 from .witnesses import AntipathWitness, validate_antipath
@@ -343,7 +343,7 @@ class AuditReport:
         }
 
 
-def audit_maximality(st: RotationState, k: int) -> AuditReport:
+def audit_maximality(st: RotationState, k: int, pd: int) -> AuditReport:
     """Check every consequence of maximality this engine knows about.
 
     (1) No pair of head candidates may satisfy an insertion's preconditions;
@@ -356,7 +356,8 @@ def audit_maximality(st: RotationState, k: int) -> AuditReport:
         alternating cycle one longer than the path).
     (4) Fan-out count: with every out-neighbor of the head candidates inside
         the path (true for longest paths), the candidates send at least
-        pd * |H| arcs into it, yet the window bounds cap the total at
+        pd * |H| arcs into it (pd: the host's minimum pseudo-semidegree, as
+        the caller computed it), yet the window bounds cap the total at
         (k/2)|H| + (k-4)/4. Both sides are reported; above the degree
         threshold they are contradictory, which is exactly why such graphs
         cannot avoid length-k paths.
@@ -389,7 +390,6 @@ def audit_maximality(st: RotationState, k: int) -> AuditReport:
     on_path = set(seq)
     arcs_in = sum(1 for f in head for q in on_path if g.has_arc(f, q))
     confined = all(g.out_neighbors(f) <= on_path for f in head)
-    pd = g.degree_profile().min_pseudo_semidegree
     lower = pd * hsize
     upper_ok = 4 * arcs_in <= 2 * k * hsize + k - 4
     fanout = {

@@ -12,8 +12,8 @@ rejected by the alternation checks rather than by an explicit parity test.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 from .graphs import OrientedGraph
 

@@ -125,7 +125,8 @@ def test_criterion_4_audit_soundness():
     for m, i, flavor in cases:
         g, seq, v, w = planted_opening_fixture(m, i, flavor)
         path = validate_antipath(g, seq)
-        rep = audit_maximality(build_state(g, path), k=m + 1)
+        pd = g.degree_profile().min_pseudo_semidegree
+        rep = audit_maximality(build_state(g, path), m + 1, pd)
         hits = [o for o in rep.extension_openings]
         good = bool(hits)
         for o in hits:

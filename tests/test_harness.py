@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -385,12 +386,49 @@ class RecordingPool:
     ],
 )
 def test_pool_size_is_capped(monkeypatch, jobs, cpus, count, expected):
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    # _map_trials imports the pool class only when it fans out
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     out = harness._map_trials(lambda params, t: (params, t), "p", count, jobs)
     assert out == [("p", t) for t in range(count)]
     assert RecordingPool.sizes == ([] if expected is None else [expected])
+
+
+def pool_modules_after(*argvs):
+    """The pool modules (concurrent.*, multiprocessing*) a fresh interpreter
+    has loaded after importing the package and running each CLI argv."""
+    code = f"""
+import json, sys
+sys.path.insert(0, {str(ROOT / "src")!r})
+import antipaths, antipaths.cli
+for argv in {list(argvs)!r}:
+    assert antipaths.cli.main(argv) == 0, argv
+prefixes = ("concurrent", "multiprocessing", "_multiprocessing")
+print(json.dumps(sorted(name for name in sys.modules if name.startswith(prefixes))))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-E", "-S", "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_one_worker_runs_import_no_pool_modules(tmp_path):
+    loaded = pool_modules_after(
+        ["tightness", "--k", "4", "--out", str(tmp_path / "t.jsonl")],
+        ["audit", "--k", "4", "--samples", "3", "--out", str(tmp_path / "a.jsonl")],
+    )
+    assert loaded == []
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs two CPUs")
+def test_two_worker_run_imports_the_pool(tmp_path):
+    out = str(tmp_path / "v.jsonl")
+    loaded = pool_modules_after(
+        ["verify-theorem", "--k", "4", "--samples", "4", "--jobs", "2", "--out", out]
+    )
+    assert "concurrent.futures.process" in loaded
 
 
 def test_csv_json_parity():

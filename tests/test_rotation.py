@@ -73,7 +73,7 @@ def opening_path(m, i, flavor):
     the audit builds for it."""
     g, seq, v, w = planted_opening_fixture(m, i, flavor)
     chord = "before-pivot" if flavor == "before" else "onto-pivot"
-    report = audit_maximality(state_on(g, seq), m + 1)
+    report = audit_maximality(state_on(g, seq), m + 1, g.degree_profile().min_pseudo_semidegree)
     (hit,) = [o for o in report.extension_openings if (o.v, o.w, o.pivot, o.chord) == (v, w, i, chord)]
     return g, seq, v, w, hit.longer_path
 
@@ -371,7 +371,7 @@ def test_audit_flags_planted_openings():
     for flavor, chord in (("before", "before-pivot"), ("onto", "onto-pivot")):
         g, seq, v, w = planted_opening_fixture(5, 2, flavor)
         st = state_on(g, seq)
-        report = audit_maximality(st, 6)
+        report = audit_maximality(st, 6, g.degree_profile().min_pseudo_semidegree)
         hits = [o for o in report.extension_openings if o.chord == chord]
         assert hits, f"no {chord} opening reported"
         for o in hits:
@@ -388,7 +388,7 @@ def test_audit_clean_on_oracle_longest_over_all_n4_graphs():
         if w is None or w.length % 2 == 0:
             continue
         st = build_state(g, w)
-        report = audit_maximality(st, 4)
+        report = audit_maximality(st, 4, g.degree_profile().min_pseudo_semidegree)
         assert not report.extension_openings
         assert report.head_fanout["confined"]
         assert report.head_fanout["lower_ok"]
@@ -401,7 +401,7 @@ def test_audit_clean_on_oracle_longest_over_all_n4_graphs():
 def test_audit_json_shape():
     g, seq, v, w = planted_opening_fixture(3, 1, "onto")
     st = state_on(g, seq)
-    d = audit_maximality(st, 4).to_json_dict()
+    d = audit_maximality(st, 4, g.degree_profile().min_pseudo_semidegree).to_json_dict()
     # at pivot 1 the before-chord coincides with head membership, so both fire
     chords = {o["chord"] for o in d["extension_openings"]}
     assert chords == {"onto-pivot", "before-pivot"}
@@ -416,7 +416,7 @@ def test_audit_json_shape():
 def test_audit_on_boundary_blowup_reports_feedback_not_openings():
     g = cycle_blowup(3, 2)
     st = build_state(g, longest_antipath(g))
-    report = audit_maximality(st, 4)
+    report = audit_maximality(st, 4, g.degree_profile().min_pseudo_semidegree)
     assert not report.extension_openings
     # at the exact degree boundary the cycle-closing arcs legitimately exist
     assert report.last_vertex_feedback
@@ -433,7 +433,8 @@ def test_randomized_move_soundness():
         if w.length % 2 == 0:
             continue
         st = build_state(g, w)
-        assert not audit_maximality(st, 4).extension_openings
+        pd = g.degree_profile().min_pseudo_semidegree
+        assert not audit_maximality(st, 4, pd).extension_openings
         for s in swaps_of(st):
             assert validate_antipath(g, s).length == st.path.length
         k = st.path.length

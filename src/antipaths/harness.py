@@ -20,7 +20,7 @@ representative, and each labeled record takes them with its own graph fields.
 Those are built from half-code tables, not from a decoded graph: a code splits
 into a low and a high half over disjoint vertex pairs, each half's out-masks
 are decoded once per run, and a table keyed by (vertex, out-mask) holds each
-vertex's arc text and [u, v] pairs. The records of one process share those
+vertex's arc text and (u, v) pairs. The records of one process share those
 pairs and their class's lists, so they are read-only.
 
 Their JSON lines are built from text encoded once per run, too. Each class
@@ -204,7 +204,7 @@ def _record(
     **fields,
 ) -> dict:
     """A record on graph g: the header every sampled or built record starts
-    with, then the mode's own fields."""
+    with, then the mode's own fields; `graph.arcs` is `g.arcs()`, not a copy."""
     arcs = g.arcs()
     return {
         "config": echo,
@@ -215,7 +215,7 @@ def _record(
             "hash": _arcs_hash(g.n, arcs),
             "n": g.n,
             "arc_count": g.arc_count,
-            "arcs": [[u, v] for u, v in arcs],
+            "arcs": arcs,
         },
         "pd": prof.min_pseudo_semidegree,
         "delta": prof.min_semidegree,
@@ -348,12 +348,12 @@ def _exhaustive_record(echo: dict, trial: int | str, graph: dict, fields: dict) 
 
 
 def _exhaustive_trial(params: dict, code: int) -> _Record:
-    # in one process, records share the [u, v] pairs of the row table and the
+    # in one process, records share the (u, v) pairs of the row table and the
     # lists of their class: read them only
     n, rows = params["n"], params["rows"]
     hi, lo = divmod(code, params["lo_count"])
     texts = []
-    arcs: list[list[int]] = []
+    arcs: list[tuple[int, int]] = []
     arcs_json = []
     for row, lo_mask, hi_mask in zip(rows, params["lo_rows"][lo], params["hi_rows"][hi]):
         text, pairs, pairs_json = row[lo_mask | hi_mask]
@@ -513,13 +513,13 @@ def run_exhaustive_lemmas(cfg: ExperimentConfig) -> list[dict]:
             oracle.graph_from_code(n, hi * lo_count).adjacency_masks()[0]
             for hi in range(3 ** (pairs - h))
         ],
-        # rows[u][mask]: the arc text, the [u, v] pairs and their JSON (without
+        # rows[u][mask]: the arc text, the (u, v) pairs and their JSON (without
         # the list's brackets) of u's out-mask mask
         "rows": [
             [
                 (
-                    _arcs_text((u, v) for v in vs),
-                    (out_arcs := [[u, v] for v in vs]),
+                    _arcs_text(out_arcs := [(u, v) for v in vs]),
+                    out_arcs,
                     _ENCODER.encode(out_arcs)[1:-1],
                 )
                 for vs in heads

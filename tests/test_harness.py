@@ -9,7 +9,15 @@ from pathlib import Path
 
 import pytest
 
-from antipaths import OrientedGraph, cycle_blowup, format_edge_list, graph_from_code, graph_hash
+from antipaths import (
+    OrientedGraph,
+    cycle_blowup,
+    format_edge_list,
+    graph_from_code,
+    graph_hash,
+    integer_threshold,
+    random_with_min_pd,
+)
 from antipaths.harness import (
     ConfigError,
     ExperimentConfig,
@@ -204,7 +212,7 @@ def test_exhaustive_records_match_their_own_graph(n, stride):
             "hash": graph_hash(g),
             "n": n,
             "arc_count": g.arc_count,
-            "arcs": [list(arc) for arc in g.arcs()],
+            "arcs": g.arcs(),
         }
     for r in records[::stride]:
         fields = harness._lemma_fields(graph_from_code(n, r["trial"]), 1, 12)
@@ -254,6 +262,8 @@ STREAM_SHA256 = {
         "1a219dddb62aff6a2462095f9afea7e98cc85c4cbd265501ce41f03dc932ec3b",
     ("verify-theorem --k 10 --samples 40 --seed 4", "json"):
         "50d3e3dd4125850f492163be3ef7b07c0d379f79cc7862580d1f52f06ac90d87",
+    ("verify-theorem --k 10 --samples 40 --seed 4", "csv"):
+        "5b990845e45445a88fdf8b674ac6845d8d955ddf844eaf9b11b294d987531a06",
     ("audit --k 6 --samples 40 --seed 3", "json"):
         "abbd22be3cdbb32dfe3e560ede21e2af25a516d2546ef76a9a13e01bfdcde20f",
     ("audit --k 6 --samples 40 --seed 3", "csv"):
@@ -316,6 +326,32 @@ def test_search_streams_are_pinned(name, tmp_path, monkeypatch):
     assert stream_sha256("search --input graph.el", "json") == SEARCH_STREAM_SHA256[name]
 
 
+def test_records_hold_their_graphs_own_arc_list(tmp_path, monkeypatch):
+    # a record's graph.arcs is the sorted list of (u, v) tuples g.arcs()
+    # returns, not a copy as [u, v] lists; the streams write both alike, so
+    # compare in memory, against the graph each record describes
+    monkeypatch.chdir(tmp_path)
+    Path("graph.el").write_text(format_edge_list(SEARCH_GRAPHS["swap"]))
+    (v,) = records_for(mode="verify-theorem", k=10, samples=1, seed=4)
+    (a,) = records_for(mode="audit", k=6, samples=1, seed=3)
+    (t,) = records_for(mode="tightness", k=8)
+    (s,) = records_for(mode="search", input_path="graph.el")
+    described = [
+        (v, random_with_min_pd(v["config"]["n"], integer_threshold(10), v["sub_seed"])),
+        (a, random_with_min_pd(a["config"]["n"], integer_threshold(6), a["sub_seed"])),
+        (t, cycle_blowup(3, 4)),
+        (s, SEARCH_GRAPHS["swap"]),
+    ]
+    for r, g in described:
+        assert r["graph"]["arcs"] == g.arcs()
+        assert r["graph"]["hash"] == graph_hash(g)
+    # a pool sends records back to the parent process pickled
+    records = [r for r, _ in described]
+    copies = pickle.loads(pickle.dumps(records))
+    for output_format in ("json", "csv"):
+        assert serialize_records(copies, output_format) == serialize_records(records, output_format)
+
+
 def test_audit_with_blowup_construction_is_not_a_failure():
     records = records_for(
         mode="audit", k=4, n=6, samples=1, construction="cycle-blowup:ell=3,b=2"
@@ -352,6 +388,11 @@ def test_parallel_runs_match_serial():
     serial = records_for(mode="audit", k=4, samples=6, seed=3, jobs=1)
     parallel = records_for(mode="audit", k=4, samples=6, seed=3, jobs=2)
     assert records_to_json_lines(serial) == records_to_json_lines(parallel)
+    # 40 full-size records cross the pool in chunks of two
+    v1 = records_for(mode="verify-theorem", k=10, samples=40, seed=4, jobs=1)
+    v2 = records_for(mode="verify-theorem", k=10, samples=40, seed=4, jobs=2)
+    for output_format in ("json", "csv"):
+        assert serialize_records(v1, output_format) == serialize_records(v2, output_format)
     e1 = records_for(mode="exhaustive-lemmas", n=4, jobs=1)
     e2 = records_for(mode="exhaustive-lemmas", n=4, jobs=2)
     assert records_to_json_lines(e1) == records_to_json_lines(e2)
